@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/conciliator"
@@ -113,11 +114,48 @@ func WithCoinThreshold(votes int) Option {
 }
 
 // Consensus is a reusable specification of a consensus protocol for n
-// processes and m values. Every Solve call builds a fresh instance (the
-// underlying objects are one-shot) and runs one simulated execution.
+// processes and m values. The underlying objects are one-shot, but all of
+// their state lives in registers, so an instance rewound to its
+// post-construction register image is indistinguishable from a fresh one:
+// Solve runs each execution on a pooled, rewound instance and builds one
+// only when the pool is empty. A Consensus is safe for concurrent use and
+// must not be copied.
 type Consensus struct {
 	n, m int
 	cfg  config
+	pool sync.Pool // of *instance, each rewound to its post-construction image
+}
+
+// instance is one built protocol with the register image it was built with.
+type instance struct {
+	file  *register.File
+	proto *core.Protocol
+	image []value.Value
+}
+
+// acquire takes a rewound protocol instance from the pool, building one
+// when the pool is empty.
+func (c *Consensus) acquire() (*instance, error) {
+	if in, ok := c.pool.Get().(*instance); ok {
+		return in, nil
+	}
+	file, proto, err := c.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &instance{file: file, proto: proto, image: file.Contents()}, nil
+}
+
+// release rewinds in to its post-construction state and returns it to the
+// pool. Callers release only on a normal return: an execution that panicked
+// may have left the instance in any state, so it is dropped instead, as a
+// poisoned harness session is.
+func (c *Consensus) release(in *instance) {
+	if in.file.Restore(in.image) != nil {
+		return // the file grew during the run; the instance cannot be rewound
+	}
+	in.file.SetSemantics(register.Atomic)
+	c.pool.Put(in)
 }
 
 // New returns a consensus spec for n processes over inputs {0, …, m-1}
@@ -163,8 +201,10 @@ func (c *Consensus) N() int { return c.n }
 func (c *Consensus) M() int { return c.m }
 
 // Build constructs a fresh one-shot protocol instance and the register file
-// it lives in. Most callers want Solve; Build exists for embedding the
-// protocol in larger simulated systems.
+// it lives in; every call returns a new instance, never a pooled one. Most
+// callers want Solve, which reuses rewound instances instead of building
+// one per call; Build exists for embedding the protocol in larger simulated
+// systems.
 func (c *Consensus) Build() (*Registers, *core.Protocol, error) {
 	file := register.NewFile()
 
@@ -331,6 +371,30 @@ func (o *Outcome) MaxWork() int {
 	return m
 }
 
+// newOutcome converts a protocol run into the public Outcome, reading each
+// process's deciding stage from the run's own per-run snapshot.
+func newOutcome(run *harness.ProtocolRun) *Outcome {
+	n := len(run.Decided)
+	out := &Outcome{
+		Outputs:   run.Result.Outputs,
+		Decided:   run.Decided,
+		Stage:     make([]int, n),
+		FellBack:  make([]bool, n),
+		TotalWork: run.Result.TotalWork,
+		Work:      run.Result.Work,
+		Violation: run.Violation,
+		Trace:     run.Trace,
+		Value:     None,
+	}
+	for pid := range out.Stage {
+		out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
+	}
+	if decided := run.DecidedOutputs(); len(decided) > 0 {
+		out.Value = decided[0]
+	}
+	return out
+}
+
 // Solve runs one execution with the given per-process inputs (len n, or a
 // single value for all) under the adversary s — or, with
 // RunConfig.Backend set to Live, under real goroutine concurrency (pass a
@@ -338,6 +402,14 @@ func (o *Outcome) MaxWork() int {
 // error for malformed configurations or step-limit exhaustion, and it
 // *verifies agreement and validity* before returning: a safety violation —
 // which would indicate a bug, not bad luck — is reported as an error.
+//
+// Solve runs on a pooled protocol instance rewound to its post-construction
+// register image, so a call costs one execution rather than one execution
+// plus the construction of the whole chain. Only a call that finds the pool
+// empty builds: the first call, one racing other concurrent calls, or one
+// after the garbage collector emptied the pool. The instance is rewound and
+// returned on every return, including errors; an execution that panics
+// drops it.
 func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunConfig) (*Outcome, error) {
 	var rc RunConfig
 	switch len(run) {
@@ -359,38 +431,23 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 			return nil, fmt.Errorf("modcon: input %s outside [0, %d)", v, c.m)
 		}
 	}
-	file, proto, err := c.Build()
+	in, err := c.acquire()
 	if err != nil {
 		return nil, err
 	}
-	pr, err := harness.RunProtocol(proto, harness.ObjectConfig{
-		N: c.n, File: file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
+	pr, err := harness.RunProtocol(in.proto, harness.ObjectConfig{
+		N: c.n, File: in.file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
 		Traced: rc.Traced, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
 		CrashAfter: rc.CrashAfter, Faults: rc.Faults,
 		MaxSteps: rc.MaxSteps, Context: rc.Context,
 	})
+	c.release(in)
 	if err != nil {
 		return nil, err
 	}
 
-	out := &Outcome{
-		Outputs:   pr.Result.Outputs,
-		Decided:   pr.Decided,
-		Stage:     make([]int, c.n),
-		FellBack:  make([]bool, c.n),
-		TotalWork: pr.Result.TotalWork,
-		Work:      pr.Result.Work,
-		Violation: pr.Violation,
-		Trace:     pr.Trace,
-		Value:     None,
-	}
-	for pid := range out.Stage {
-		out.Stage[pid], out.FellBack[pid] = proto.DecidedStage(pid)
-	}
+	out := newOutcome(pr)
 	decided := pr.DecidedOutputs()
-	if len(decided) > 0 {
-		out.Value = decided[0]
-	}
 	full := inputs
 	if len(full) == 1 {
 		full = make([]Value, c.n)
@@ -449,26 +506,31 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 		return err
 	}
 	// Surface construction errors here, once, so the per-session Build
-	// closure below cannot fail.
-	if _, _, err := c.Build(); err != nil {
+	// closure below cannot fail. The pre-flight instance goes straight back
+	// to the pool, where the first session picks it up.
+	in, err := c.acquire()
+	if err != nil {
 		return err
 	}
+	c.release(in)
 	base := rc.inputs
 	if len(base) == 0 {
 		base = []Value{0} // placeholder; the per-trial hook overrides it
 	}
 	spec := harness.ProtocolSweep{
 		Build: func() (*core.Protocol, harness.ObjectConfig) {
-			file, proto, err := c.Build()
+			// Sessions keep their instance: the harness has no hook that
+			// would hand it back when the sweep ends.
+			in, err := c.acquire()
 			if err != nil {
-				panic(err) // unreachable: the pre-flight Build above succeeded
+				panic(err) // unreachable: the pre-flight build above succeeded
 			}
 			var sched Scheduler
 			if newSched != nil {
 				sched = newSched()
 			}
-			return proto, harness.ObjectConfig{
-				N: c.n, File: file, Inputs: base, Backend: be, Scheduler: sched,
+			return in.proto, harness.ObjectConfig{
+				N: c.n, File: in.file, Inputs: base, Backend: be, Scheduler: sched,
 				Traced: rc.traced, CheapCollect: rc.cheapCollect, Registers: rc.registers,
 				CrashAfter: rc.crashAfter, Faults: rc.faults,
 				MaxSteps: rc.maxSteps, Context: rc.ctx, Meter: rc.meter,
@@ -479,23 +541,7 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 	var violation error
 	violationAt := trials
 	err = harness.SweepProtocol(rc.sweep(trials), spec, func(t Trial, run *harness.ProtocolRun) {
-		out := &Outcome{
-			Outputs:   run.Result.Outputs,
-			Decided:   run.Decided,
-			Stage:     make([]int, c.n),
-			FellBack:  make([]bool, c.n),
-			TotalWork: run.Result.TotalWork,
-			Work:      run.Result.Work,
-			Violation: run.Violation,
-			Trace:     run.Trace,
-			Value:     None,
-		}
-		for pid := range out.Stage {
-			out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
-		}
-		if decided := run.DecidedOutputs(); len(decided) > 0 {
-			out.Value = decided[0]
-		}
+		out := newOutcome(run)
 		if run.Violation != nil && t.Index < violationAt {
 			violation, violationAt = run.Violation, t.Index
 		}

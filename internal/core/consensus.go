@@ -48,15 +48,16 @@ type Options struct {
 // (1-δ)^512 < 10⁻¹², far below anything observable in experiments.
 const DefaultStages = 512
 
-// Protocol is an assembled consensus protocol: a Composition plus
-// per-process instrumentation recording where each process decided.
+// Protocol is an assembled consensus protocol: a Composition plus the
+// shape needed to translate a deciding chain index into the paper's stage
+// numbering. It keeps no per-run state (apart from the Exhausted counter),
+// so one instance, with its register file rewound, can serve many runs.
 type Protocol struct {
 	chain         *Composition
 	n             int
 	fastPath      bool
 	hasFallback   bool
 	perStage      int // chain objects per stage (1 or 2)
-	decidedAt     []int32
 	exhaustedToll atomic.Int64
 }
 
@@ -106,10 +107,6 @@ func NewProtocol(opts Options) (*Protocol, error) {
 		fastPath:    opts.FastPath,
 		hasFallback: opts.Fallback != nil,
 		perStage:    perStage,
-		decidedAt:   make([]int32, opts.N),
-	}
-	for i := range p.decidedAt {
-		p.decidedAt[i] = -1
 	}
 	return p, nil
 }
@@ -118,26 +115,16 @@ func NewProtocol(opts Options) (*Protocol, error) {
 // and returns its decision. ok is false only if the chain was exhausted
 // without deciding — impossible with a fallback, and an event of probability
 // ≤ (1-δ)^Stages otherwise; callers must treat it as non-termination, never
-// as a decision.
-//
-// Run records where the process decided in protocol-owned state readable
-// through DecidedIndex/DecidedStage, which is convenient for one-shot runs
-// but racy for pooled sweeps, where a merge goroutine may still be reading
-// trial k's indices while a worker runs trial k+1. Such callers use
-// RunIndexed and keep per-trial indices themselves.
+// as a decision. Callers that need the deciding stage use RunIndexed.
 func (p *Protocol) Run(e Env, input value.Value) (out value.Value, ok bool) {
-	out, idx, ok := p.RunIndexed(e, input)
-	if ok {
-		p.decidedAt[e.PID()] = int32(idx)
-	}
+	out, _, ok = p.RunIndexed(e, input)
 	return out, ok
 }
 
 // RunIndexed executes the protocol for the calling process and additionally
-// returns the chain index at which it decided (-1 when ok is false). Unlike
-// Run it leaves the protocol's own decided-at instrumentation untouched, so
-// concurrent readers of a previous trial's indices are safe; translate idx
-// with StageOfIndex.
+// returns the chain index at which it decided (-1 when ok is false);
+// translate idx with StageOfIndex. The index is the caller's to keep: the
+// protocol records nothing per run.
 func (p *Protocol) RunIndexed(e Env, input value.Value) (out value.Value, idx int, ok bool) {
 	d, i := p.chain.InvokeIndexed(e, input)
 	if !d.Decided {
@@ -153,16 +140,6 @@ func (p *Protocol) Object() Object { return p.chain }
 
 // Len returns the number of chained objects.
 func (p *Protocol) Len() int { return p.chain.Len() }
-
-// DecidedIndex returns the chain index at which pid decided, or -1.
-func (p *Protocol) DecidedIndex(pid int) int { return int(p.decidedAt[pid]) }
-
-// DecidedStage translates pid's deciding chain index into the paper's stage
-// numbering: 0 for the fast path, i ≥ 1 for stage (Cᵢ; Rᵢ), -1 if pid has
-// not decided. ok distinguishes the fallback object.
-func (p *Protocol) DecidedStage(pid int) (stage int, fallback bool) {
-	return p.StageOfIndex(p.DecidedIndex(pid))
-}
 
 // StageOfIndex translates a deciding chain index (as returned by
 // RunIndexed) into the paper's stage numbering: 0 for the fast path, i ≥ 1

@@ -212,16 +212,16 @@ func TestProtocolFastPathDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := p.Run(newFakeEnv(), 7)
+	out, idx, ok := p.RunIndexed(newFakeEnv(), 7)
 	if !ok || out != 7 {
-		t.Fatalf("Run = %s, %v", out, ok)
+		t.Fatalf("RunIndexed = %s, %v", out, ok)
 	}
-	stage, fb := p.DecidedStage(0)
+	stage, fb := p.StageOfIndex(idx)
 	if stage != 0 || fb {
-		t.Fatalf("DecidedStage = %d fallback=%v, want 0", stage, fb)
+		t.Fatalf("stage = %d fallback=%v, want 0", stage, fb)
 	}
-	if p.DecidedIndex(0) != 0 {
-		t.Fatalf("DecidedIndex = %d", p.DecidedIndex(0))
+	if idx != 0 {
+		t.Fatalf("deciding index = %d", idx)
 	}
 }
 
@@ -240,12 +240,12 @@ func TestProtocolStageNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := p.Run(newFakeEnv(), 3)
+	out, idx, ok := p.RunIndexed(newFakeEnv(), 3)
 	if !ok || out != 3 {
-		t.Fatalf("Run = %s %v", out, ok)
+		t.Fatalf("RunIndexed = %s %v", out, ok)
 	}
-	if stage, fb := p.DecidedStage(0); stage != 2 || fb {
-		t.Fatalf("DecidedStage = %d fb=%v, want 2", stage, fb)
+	if stage, fb := p.StageOfIndex(idx); stage != 2 || fb {
+		t.Fatalf("stage = %d fb=%v, want 2", stage, fb)
 	}
 }
 
@@ -261,12 +261,12 @@ func TestProtocolFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := p.Run(newFakeEnv(), 11)
+	out, idx, ok := p.RunIndexed(newFakeEnv(), 11)
 	if !ok || out != 11 {
-		t.Fatalf("Run = %s %v", out, ok)
+		t.Fatalf("RunIndexed = %s %v", out, ok)
 	}
-	if stage, fb := p.DecidedStage(0); !fb || stage != -1 {
-		t.Fatalf("DecidedStage = %d fb=%v, want fallback", stage, fb)
+	if stage, fb := p.StageOfIndex(idx); !fb || stage != -1 {
+		t.Fatalf("stage = %d fb=%v, want fallback", stage, fb)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestProtocolExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, ok := p.Run(newFakeEnv(), 4)
+	out, idx, ok := p.RunIndexed(newFakeEnv(), 4)
 	if ok {
 		t.Fatal("exhausted chain reported a decision")
 	}
@@ -291,8 +291,8 @@ func TestProtocolExhaustion(t *testing.T) {
 	if p.Exhausted() != 1 {
 		t.Fatalf("Exhausted = %d", p.Exhausted())
 	}
-	if stage, _ := p.DecidedStage(0); stage != -1 {
-		t.Fatalf("DecidedStage = %d for undecided", stage)
+	if stage, _ := p.StageOfIndex(idx); stage != -1 {
+		t.Fatalf("stage = %d for undecided", stage)
 	}
 }
 
@@ -326,11 +326,11 @@ func TestProtocolRatifierOnlyLayout(t *testing.T) {
 	if p.Len() != 5 {
 		t.Fatalf("chain length %d, want 5", p.Len())
 	}
-	out, ok := p.Run(newFakeEnv(), 2)
+	out, idx, ok := p.RunIndexed(newFakeEnv(), 2)
 	if !ok || out != 2 {
-		t.Fatalf("Run = %s %v", out, ok)
+		t.Fatalf("RunIndexed = %s %v", out, ok)
 	}
-	if stage, fb := p.DecidedStage(0); stage != 3 || fb {
-		t.Fatalf("DecidedStage = %d, want 3", stage)
+	if stage, fb := p.StageOfIndex(idx); stage != 3 || fb {
+		t.Fatalf("stage = %d, want 3", stage)
 	}
 }

@@ -152,7 +152,7 @@ func E11NoisyRatifierOnly(cfg Config) *Table {
 				}
 				r := noisyResult{allDone: true, ind: run.Result.MaxIndividualWork()}
 				for pid := 0; pid < n; pid++ {
-					st, _ := proto.DecidedStage(pid)
+					st, _ := run.DecidedStage(pid)
 					if st < 0 {
 						r.allDone = false
 						continue

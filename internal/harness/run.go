@@ -196,10 +196,9 @@ type ProtocolRun struct {
 	// decision (false for crashed processes and chain exhaustion).
 	Decided []bool
 	// DecidedIdx holds, per process, the chain index at which it decided
-	// (-1 if it did not). Unlike the protocol's own DecidedIndex
-	// instrumentation this is a per-run snapshot, safe to read while the
-	// protocol instance is already executing a later pooled trial;
-	// DecidedStage translates it to the paper's stage numbering.
+	// (-1 if it did not). It is a per-run snapshot, safe to read while the
+	// protocol instance is already executing a later run; DecidedStage
+	// translates it to the paper's stage numbering.
 	DecidedIdx []int32
 	// Violation is the first safety violation (agreement or validity) the
 	// run's online monitor observed as decisions landed; nil if the run was
@@ -265,6 +264,10 @@ func (r *ProtocolRun) DecidedOutputs() []value.Value {
 }
 
 // RunProtocol executes a consensus protocol built by core.NewProtocol.
+// Decisions are recorded through core.Protocol.RunIndexed into the run's own
+// buffers, never into the protocol, so one instance can serve many runs
+// (rewound between them) with per-run stages read from
+// ProtocolRun.DecidedStage.
 func RunProtocol(p *core.Protocol, cfg ObjectConfig) (*ProtocolRun, error) {
 	be, err := cfg.backend()
 	if err != nil {
@@ -290,10 +293,10 @@ func RunProtocol(p *core.Protocol, cfg ObjectConfig) (*ProtocolRun, error) {
 	// is caught even if the execution never finishes cleanly.
 	mon := check.NewMonitor(inputs)
 	prog := func(e core.Env) value.Value {
-		out, ok := p.Run(e, inputs[e.PID()])
+		out, idx, ok := p.RunIndexed(e, inputs[e.PID()])
 		run.Decided[e.PID()] = ok
+		run.DecidedIdx[e.PID()] = int32(idx)
 		if ok {
-			run.DecidedIdx[e.PID()] = int32(p.DecidedIndex(e.PID()))
 			mon.Observe(e.PID(), out)
 		}
 		return out

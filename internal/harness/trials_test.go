@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,29 @@ func TestSweepReportsFirstErrorByTrialIndex(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "trial 3") {
 		t.Fatalf("error does not name the failing trial: %v", err)
+	}
+}
+
+// TestSweepIgnoresInducedCancellation pins the fold's attribution when a
+// failure cancels in-flight trials with lower indices: trial 0 blocks until
+// the sweep's context is cancelled, which happens only because trial 9
+// failed, so the sweep must report trial 9 rather than trial 0's induced
+// context.Canceled.
+func TestSweepIgnoresInducedCancellation(t *testing.T) {
+	boom := errors.New("boom")
+	err := RunTrials(Sweep{Trials: 10, Workers: 2, Seed: 1},
+		func(ctx context.Context, tr Trial) (int, error) {
+			switch tr.Index {
+			case 0:
+				<-ctx.Done()
+				return 0, fmt.Errorf("blocked trial: %w", ctx.Err())
+			case 9:
+				return 0, boom
+			}
+			return tr.Index, nil
+		}, nil)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "trial 9:") {
+		t.Fatalf("err = %v, want trial 9's boom", err)
 	}
 }
 

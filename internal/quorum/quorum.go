@@ -38,9 +38,12 @@ type Scheme interface {
 	M() int
 	// PoolSize returns the number of binary registers the scheme needs.
 	PoolSize() int
-	// WriteQuorum returns the pool indices of W_v, ascending.
+	// WriteQuorum returns the pool indices of W_v, ascending. The slice may
+	// be shared with other callers (Binary returns sub-slices of one
+	// package-level table), so callers must not modify it.
 	WriteQuorum(v value.Value) []int
-	// ReadQuorum returns the pool indices of R_v, ascending.
+	// ReadQuorum returns the pool indices of R_v, ascending, under the
+	// same read-only contract as WriteQuorum.
 	ReadQuorum(v value.Value) []int
 	// Name identifies the scheme in reports.
 	Name() string
@@ -81,10 +84,11 @@ func MinPoolSize(m int) int {
 	}
 }
 
-// checkValue validates a scheme input.
-func checkValue(v value.Value, m int, name string) int {
-	if v.IsNone() || v < 0 || int64(v) >= int64(m) {
-		panic(fmt.Sprintf("quorum: value %s out of range [0,%d) for scheme %s", v, m, name))
+// checkValue validates an input of scheme s. The scheme's name is formatted
+// only on the panic path, so the check costs no allocation per call.
+func checkValue(v value.Value, s Scheme) int {
+	if m := s.M(); v.IsNone() || v < 0 || int64(v) >= int64(m) {
+		panic(fmt.Sprintf("quorum: value %s out of range [0,%d) for scheme %s", v, m, s.Name()))
 	}
 	return int(v)
 }
@@ -92,17 +96,30 @@ func checkValue(v value.Value, m int, name string) int {
 // Binary is the 2-value scheme: W_0={0}, R_0={1}, W_1={1}, R_1={0}.
 type Binary struct{}
 
+// binaryPool backs every Binary quorum: W_v is binaryPool[v:v+1] and R_v is
+// binaryPool[1-v:2-v], capped so an append by a careless caller copies
+// instead of writing into the shared table.
+var binaryPool = [2]int{0, 1}
+
 // M implements Scheme.
 func (Binary) M() int { return 2 }
 
 // PoolSize implements Scheme.
 func (Binary) PoolSize() int { return 2 }
 
-// WriteQuorum implements Scheme.
-func (b Binary) WriteQuorum(v value.Value) []int { return []int{checkValue(v, 2, b.Name())} }
+// WriteQuorum implements Scheme. It returns a read-only sub-slice of a
+// package-level table; it does not allocate.
+func (b Binary) WriteQuorum(v value.Value) []int {
+	x := checkValue(v, b)
+	return binaryPool[x : x+1 : x+1]
+}
 
-// ReadQuorum implements Scheme.
-func (b Binary) ReadQuorum(v value.Value) []int { return []int{1 - checkValue(v, 2, b.Name())} }
+// ReadQuorum implements Scheme, returning a read-only sub-slice like
+// WriteQuorum.
+func (b Binary) ReadQuorum(v value.Value) []int {
+	x := 1 - checkValue(v, b)
+	return binaryPool[x : x+1 : x+1]
+}
 
 // Name implements Scheme.
 func (Binary) Name() string { return "binary" }
@@ -130,7 +147,7 @@ func (p *Pool) PoolSize() int { return p.k }
 // WriteQuorum implements Scheme. It unranks v in the combinatorial number
 // system: the colex rank of {c_1 < c_2 < … < c_t} is Σ C(c_i, i).
 func (p *Pool) WriteQuorum(v value.Value) []int {
-	rank := uint64(checkValue(v, p.m, p.Name()))
+	rank := uint64(checkValue(v, p))
 	out := make([]int, p.t)
 	for i := p.t; i >= 1; i-- {
 		// Largest c with C(c, i) ≤ rank.
@@ -185,7 +202,7 @@ func (s *BitVector) PoolSize() int { return 2 * s.bitsN }
 
 // WriteQuorum implements Scheme.
 func (s *BitVector) WriteQuorum(v value.Value) []int {
-	x := checkValue(v, s.m, s.Name())
+	x := checkValue(v, s)
 	out := make([]int, s.bitsN)
 	for i := 0; i < s.bitsN; i++ {
 		out[i] = 2*i + (x>>i)&1
@@ -195,7 +212,7 @@ func (s *BitVector) WriteQuorum(v value.Value) []int {
 
 // ReadQuorum implements Scheme.
 func (s *BitVector) ReadQuorum(v value.Value) []int {
-	x := checkValue(v, s.m, s.Name())
+	x := checkValue(v, s)
 	out := make([]int, s.bitsN)
 	for i := 0; i < s.bitsN; i++ {
 		out[i] = 2*i + 1 - (x>>i)&1

@@ -209,6 +209,17 @@ func TestBinaryScheme(t *testing.T) {
 	if err := Verify(b); err != nil {
 		t.Fatal(err)
 	}
+	// The quorums are capped sub-slices of a shared table: an append copies
+	// rather than overwriting W_1, and fetching them does not allocate.
+	if w := append(b.WriteQuorum(0), 7); b.WriteQuorum(1)[0] != 1 || w[1] != 7 {
+		t.Fatalf("append to W_0 wrote into the shared table: W_1 = %v", b.WriteQuorum(1))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = b.WriteQuorum(1)
+		_ = b.ReadQuorum(1)
+	}); allocs != 0 {
+		t.Errorf("binary quorums: %v allocations per call pair, want 0", allocs)
+	}
 }
 
 func TestSchemePanicsOnBadValues(t *testing.T) {

@@ -301,3 +301,39 @@ func TestSchemeAccessor(t *testing.T) {
 		t.Errorf("Scheme().M() = %d", r.Scheme().M())
 	}
 }
+
+// fileEnv is a single-process Env over a register file with only the
+// operations a quorum ratifier issues; anything else panics on the nil
+// embedded Env.
+type fileEnv struct {
+	core.Env
+	file *register.File
+}
+
+func (e *fileEnv) PID() int                            { return 0 }
+func (e *fileEnv) Read(r register.Reg) value.Value     { return e.file.Load(r) }
+func (e *fileEnv) Write(r register.Reg, v value.Value) { e.file.Store(r, v) }
+
+// TestBinaryInvokeAllocFree pins the binary ratifier's hot path at zero
+// allocations: its quorums are sub-slices of a shared table, and the value
+// check formats the scheme name only when it panics.
+func TestBinaryInvokeAllocFree(t *testing.T) {
+	file := register.NewFile()
+	r := NewBinary(file, 1)
+	img := file.Contents()
+	env := &fileEnv{file: file}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := file.Restore(img); err != nil {
+			t.Fatal(err)
+		}
+		if d := r.Invoke(env, 1); !d.Decided || d.V != 1 {
+			t.Fatalf("solo Invoke(1) = %s, want (1, 1)", d)
+		}
+		if d := r.Invoke(env, 0); d.Decided || d.V != 1 {
+			t.Fatalf("conflicting Invoke(0) = %s, want (0, 1)", d)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("binary Invoke: %v allocations per run, want 0", allocs)
+	}
+}
