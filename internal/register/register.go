@@ -172,21 +172,21 @@ func (f *File) SetSemantics(s Semantics) { f.semantics = s }
 // (Atomic unless overridden).
 func (f *File) Semantics() Semantics { return f.semantics }
 
-// Contents returns a copy of the whole memory. Used where a fresh, caller-
-// owned image is wanted (tests, archival); the simulator's hot path uses
-// AppendContents with a reused buffer instead.
+// Contents returns a copy of the whole memory: a fresh, caller-owned image
+// (engine reset images, tests, archival). Adversary views do not copy; they
+// read the live cells through Cells.
 func (f *File) Contents() []value.Value {
 	out := make([]value.Value, len(f.cells))
 	copy(out, f.cells)
 	return out
 }
 
-// AppendContents appends the whole memory to dst and returns the extended
-// slice. The allocation-free form of Contents, used to rebuild adversary
-// views for location-oblivious and adaptive adversaries every step.
-func (f *File) AppendContents(dst []value.Value) []value.Value {
-	return append(dst, f.cells...)
-}
+// Cells returns the file's live cells: an alias, not a copy, so it always
+// shows the current contents. Callers must treat it as read-only, and it is
+// invalidated by the next Alloc (which may move the backing array). The
+// simulator serves it as the memory of location-oblivious and adaptive
+// adversary views, at O(1) per step.
+func (f *File) Cells() []value.Value { return f.cells }
 
 // Reset restores every register to ⊥. Inits must be re-applied by the owner;
 // engines that reuse a file across executions snapshot the post-Init image

@@ -98,6 +98,22 @@ func TestContentsIsCopy(t *testing.T) {
 	}
 }
 
+func TestCellsIsLive(t *testing.T) {
+	f := NewFile()
+	a := f.Alloc(3, "c")
+	cells := f.Cells()
+	f.Store(a.At(1), 7)
+	if len(cells) != 3 || cells[1] != 7 {
+		t.Fatalf("Cells = %v, want the live contents [⊥ 7 ⊥]", cells)
+	}
+	if err := f.Restore([]value.Value{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if cells[0] != 1 || cells[2] != 3 {
+		t.Fatalf("Cells = %v after Restore, want [1 2 3]", cells)
+	}
+}
+
 func TestReset(t *testing.T) {
 	f := NewFile()
 	a := f.Alloc(2, "z")

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
 	"github.com/modular-consensus/modcon/internal/xrand"
@@ -9,18 +12,34 @@ import (
 // concTracker detects first-mover conciliator phases from what a
 // location-oblivious adversary may observe. A conciliator round is
 // recognizable by pending *probabilistic* writes; when the first one
-// appears, the tracker snapshots memory, and the first register that
-// subsequently changes is the conciliator's register — whatever its
-// address, which this adversary class cannot see.
+// appears, the tracker arms, taking the memory it sees then as its
+// baseline, and the first register that subsequently changes is the
+// conciliator's register — whatever its address, which this adversary class
+// cannot see.
+//
+// The baseline is never copied. The tracker keeps only the cells that
+// changed since arming (reported one per step by View.Changed), each with
+// its value at arming time (the ChangedFrom of its first change); every
+// other cell still holds its baseline value. A step therefore costs
+// O(cells changed since arming), not O(register file).
 type concTracker struct {
-	armed    bool
-	baseline []value.Value
+	armed bool
+	// cand lists the cells changed since arming, ascending by register.
+	cand []changedCell
+}
+
+// changedCell is one register changed since the tracker armed, with the
+// value it held at arming time.
+type changedCell struct {
+	reg  register.Reg
+	base value.Value
 }
 
 // observe returns the conciliator phase: phaseNeutral when no probabilistic
 // writes are pending and nothing has landed, phasePool while attempts are
 // pending but none has taken effect, phaseEndgame (with the winning value)
-// once one has.
+// once one has. The winning value is that of the lowest-indexed cell that
+// differs from its baseline and is not ⊥.
 func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 	anyProb := false
 	for _, pid := range v.Runnable {
@@ -33,16 +52,19 @@ func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 		if !anyProb {
 			return phaseNeutral, value.None
 		}
+		// Arm. The memory seen now is the baseline, so the change the last
+		// step made (if any) is already part of it.
 		c.armed = true
-		c.baseline = append(c.baseline[:0], v.Memory...)
+		if c.cand == nil {
+			c.cand = make([]changedCell, 0, v.N)
+		}
+		c.cand = c.cand[:0]
+	} else if v.Changed >= 0 {
+		c.note(v.Changed, v.ChangedFrom)
 	}
 	// Armed: look for the first cell that changed since arming.
-	for i, m := range v.Memory {
-		base := value.None
-		if i < len(c.baseline) {
-			base = c.baseline[i]
-		}
-		if m != base && !m.IsNone() {
+	for _, cc := range c.cand {
+		if m := v.Memory[cc.reg]; m != cc.base && !m.IsNone() {
 			return phaseEndgame, m
 		}
 	}
@@ -55,11 +77,22 @@ func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
 	return phasePool, value.None
 }
 
-// reset clears the tracker for a fresh execution, keeping the baseline
-// buffer's capacity.
+// note records that r changed from the value from. Only the first change
+// since arming is kept: from is then r's value at arming time.
+func (c *concTracker) note(r register.Reg, from value.Value) {
+	i, found := slices.BinarySearchFunc(c.cand, r, func(cc changedCell, r register.Reg) int {
+		return cmp.Compare(cc.reg, r)
+	})
+	if !found {
+		c.cand = slices.Insert(c.cand, i, changedCell{reg: r, base: from})
+	}
+}
+
+// reset clears the tracker for a fresh execution, keeping the cand buffer's
+// capacity.
 func (c *concTracker) reset() {
 	c.armed = false
-	c.baseline = c.baseline[:0]
+	c.cand = c.cand[:0]
 }
 
 const (
@@ -218,7 +251,7 @@ func (s *FirstMoverAttack) Next(v *View) int {
 	case phaseNeutral:
 		// Outside conciliator rounds (e.g. inside ratifiers): neutral
 		// round-robin, and reset the endgame for the next round.
-		s.endgame = firstMoverEndgame{}
+		s.endgame.reset()
 		return s.roundRobin(v)
 	}
 	// Pool building: advance processes that are *not* yet poised to write,
@@ -292,7 +325,7 @@ func (s *EagerWriteAttack) Next(v *View) int {
 		return s.endgame.play(v, cur)
 	}
 	if phase == phaseNeutral {
-		s.endgame = firstMoverEndgame{}
+		s.endgame.reset()
 	}
 	// Opening and pool phase: plain round-robin — writes fire as soon as
 	// their turn comes, keeping every process one step from a fresh attempt

@@ -127,11 +127,13 @@ type Op struct {
 //
 // Buffer-reuse contract (copy-on-escape): the View pointer and its Runnable,
 // Pending, and Memory slices are owned by the runtime and reused on every
-// step — the step path is allocation-free by design. A Scheduler may read
-// them freely during Next, but must not mutate them and must not retain any
-// of them past Next's return; a strategy that wants history (e.g. a memory
-// baseline to detect the first landed write) must copy what it needs into
-// its own state, as concTracker does with append(dst[:0], v.Memory...).
+// step — the step path is allocation-free by design. Memory is not even a
+// copy: it is the live register file itself, aliased, so it already shows
+// the effect of every executed step. A Scheduler may read all of them freely
+// during Next, but must not mutate them (a write to Memory would corrupt the
+// execution) and must not retain any of them past Next's return; a strategy
+// that wants history must copy what it needs into its own state, or, as
+// concTracker does, keep only what Changed/ChangedFrom report step by step.
 type View struct {
 	// Power is the information class this view was built for.
 	Power Power
@@ -151,8 +153,19 @@ type View struct {
 	// Pending is indexed by pid; entries are power-restricted.
 	Pending []Op
 	// Memory is the register file contents (LocationOblivious, Adaptive);
-	// nil otherwise.
+	// nil otherwise. It is the live file: read-only, valid during Next only.
 	Memory []value.Value
+	// Changed is the register the previous step changed, or -1 if that step
+	// changed no register (a read, a collect, a probabilistic write that
+	// missed or whose coin was lost, a write of the value already stored),
+	// and ChangedFrom is the value that register held before the step
+	// (value.None when Changed is -1). Populated only for the powers that see
+	// Memory, and always -1 below them. They reveal nothing beyond Memory: an
+	// adversary could compute them by diffing Memory against its own copy
+	// from the previous Next. They let it track memory history in O(change)
+	// per step instead of O(file).
+	Changed     register.Reg
+	ChangedFrom value.Value
 }
 
 // PendingOf returns the (restricted) pending op of pid.

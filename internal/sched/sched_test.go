@@ -214,7 +214,7 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	s.Seed(xrand.New(1))
 	n := 3
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1, 2},
-		Pending: make([]Op, n), Memory: []value.Value{value.None}}
+		Pending: make([]Op, n), Memory: []value.Value{value.None}, Changed: -1, ChangedFrom: value.None}
 	// p0 poised to probwrite, p1/p2 poised to read: attack must advance a
 	// reader to grow the pending-write pool.
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
@@ -231,20 +231,22 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 		t.Fatalf("phase 1 release chose %d", first)
 	}
 	// Memory written: must first lock a witness reader on the current value.
-	v.Memory[0] = 5
+	v.Memory[0], v.Changed, v.ChangedFrom = 5, 0, value.None
 	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := s.Next(v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
-	// Witness locked on value 5: must now fire a pending probwrite whose
-	// value differs from 5 (pid 2, value 7), never the 5-valued one.
+	// Witness locked on value 5 (the read changed no cell): must now fire a
+	// pending probwrite whose value differs from 5 (pid 2, value 7), never
+	// the 5-valued one.
+	v.Changed, v.ChangedFrom = -1, value.None
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
 	if pid := s.Next(v); pid == 0 || v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
 	}
 	// Memory flipped to a conflicting value: readers first to bank the
 	// disagreement.
-	v.Memory[0] = 7
+	v.Memory[0], v.Changed, v.ChangedFrom = 7, 0, 5
 	v.Pending[1] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	if pid := s.Next(v); pid != 1 {
 		t.Fatalf("post-flip chose %d, want reader 1", pid)
@@ -256,7 +258,7 @@ func TestEndgameWithoutReaders(t *testing.T) {
 	s := NewFirstMoverAttack()
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
-		Pending: make([]Op, n), Memory: []value.Value{3}}
+		Pending: make([]Op, n), Memory: []value.Value{3}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 4, ProbNum: 1, ProbDen: 2}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 2}
 	if pid := s.Next(v); v.Pending[pid].Kind != OpProbWrite {
@@ -268,7 +270,7 @@ func TestEagerWriteAttackOpeningIsRoundRobin(t *testing.T) {
 	s := NewEagerWriteAttack()
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
-		Pending: make([]Op, n), Memory: []value.Value{value.None}}
+		Pending: make([]Op, n), Memory: []value.Value{value.None}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Val: 3}
 	if pid := s.Next(v); pid != 0 {
@@ -285,7 +287,7 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 	s := NewEagerWriteAttack()
 	n := 2
 	v := &View{Power: LocationOblivious, N: n, Runnable: []int{0, 1},
-		Pending: make([]Op, n), Memory: []value.Value{9}}
+		Pending: make([]Op, n), Memory: []value.Value{9}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Val: 3}
 	if pid := s.Next(v); pid != 0 {

@@ -168,6 +168,10 @@ type chanEngine struct {
 	failure  *chanProcFailure
 
 	runnableBuf []int
+	// prevMem is the memory image served with the previous view; buildView
+	// derives View.Changed/ChangedFrom by diffing against it, exactly as an
+	// adversary holding its own copy could.
+	prevMem []value.Value
 }
 
 func (rt *chanEngine) loop() error {
@@ -322,9 +326,17 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 		}
 		view.Pending[pid] = op
 	}
+	view.Changed, view.ChangedFrom = -1, value.None
 	switch rt.power {
 	case sched.LocationOblivious, sched.Adaptive:
 		view.Memory = rt.cfg.File.Contents()
+		for i := range rt.prevMem {
+			if i < len(view.Memory) && view.Memory[i] != rt.prevMem[i] {
+				view.Changed, view.ChangedFrom = register.Reg(i), rt.prevMem[i]
+				break
+			}
+		}
+		rt.prevMem = view.Memory
 	default:
 		view.Memory = nil
 	}

@@ -113,14 +113,17 @@ type Engine struct {
 
 	// The scheduler view is maintained incrementally: exactly one process
 	// changes state per step, so runnable (ascending pids) and view.Pending
-	// are patched in O(1) amortized instead of rebuilt in O(n). The slices
-	// are engine-owned and reused every step; schedulers may read them only
-	// for the duration of one Next call (see the contract on sched.View).
-	view     sched.View
-	runnable []int
-	// memBuf backs View.Memory (location-oblivious/adaptive powers),
-	// collectBuf backs cheap-collect responses; both reused every step.
-	memBuf     []value.Value
+	// are patched in O(1) amortized instead of rebuilt in O(n). For the
+	// powers that see memory (seesMemory), view.Memory aliases the live
+	// register file and view.Changed/ChangedFrom report the one cell the
+	// last step changed, so those views cost O(1) per step too, whatever
+	// the file's size. The slices are engine-owned and reused every step;
+	// schedulers may read them only for the duration of one Next call (see
+	// the contract on sched.View).
+	view       sched.View
+	runnable   []int
+	seesMemory bool
+	// collectBuf backs cheap-collect responses, reused every step.
 	collectBuf []value.Value
 
 	armed    bool
@@ -185,12 +188,13 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 		stalledBuf:  make([]bool, cfg.N),
 		meter:       cfg.Meter,
 		runnable:    make([]int, 0, cfg.N),
+		seesMemory:  viewsMemory(cfg.Scheduler.MinPower()),
 		sem:         cfg.Registers,
 	}
 	if cfg.Registers == register.Regular {
 		eng.invVal = make([]value.Value, cfg.N)
 	}
-	eng.view = sched.View{Power: eng.power, Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N)}
+	eng.view = sched.View{Power: eng.power, Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N), Changed: -1, ChangedFrom: value.None}
 	eng.result.Trace = cfg.Trace
 	// CrashAfter is consulted on every step; flatten the map into a dense
 	// per-pid limit (maxInt = never) so the hot path does one compare
@@ -373,6 +377,7 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 	}
 	eng.view.Step = 0
 	eng.view.Memory = nil
+	eng.view.Changed, eng.view.ChangedFrom = -1, value.None
 	eng.runnable = eng.runnable[:0]
 	eng.armed = true
 	return nil
@@ -483,12 +488,11 @@ func (rt *Engine) loop() error {
 		}
 		rt.view.Step = rt.steps
 		rt.view.Runnable = rt.runnable
-		switch rt.power {
-		case sched.LocationOblivious, sched.Adaptive:
-			rt.memBuf = rt.cfg.File.AppendContents(rt.memBuf[:0])
-			rt.view.Memory = rt.memBuf
+		if rt.seesMemory {
+			rt.view.Memory = rt.cfg.File.Cells()
 		}
 		pid := rt.cfg.Scheduler.Next(&rt.view)
+		rt.view.Changed, rt.view.ChangedFrom = -1, value.None
 		if pid < 0 || pid >= rt.cfg.N || !rt.procs[pid].hasOp || rt.procs[pid].crashed {
 			panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
 		}
@@ -516,6 +520,20 @@ func (rt *Engine) dropRunnable(pid int) {
 	}
 }
 
+// store writes v to r for a write or a landed probabilistic write. For the
+// powers that see memory it also records the change for the next view
+// (view.Changed/ChangedFrom), and only when v differs from the value r
+// already holds.
+func (rt *Engine) store(r register.Reg, v value.Value) {
+	file := rt.cfg.File
+	if rt.seesMemory {
+		if old := file.Load(r); old != v {
+			rt.view.Changed, rt.view.ChangedFrom = r, old
+		}
+	}
+	file.Store(r, v)
+}
+
 // execute applies pid's pending operation, then resumes pid's coroutine to
 // obtain its next request (unless pid crashes at this step).
 func (rt *Engine) execute(pid int) {
@@ -540,7 +558,7 @@ func (rt *Engine) execute(pid int) {
 			}
 		}
 	case sched.OpWrite:
-		file.Store(req.reg, req.val)
+		rt.store(req.reg, req.val)
 	case sched.OpProbWrite:
 		resp.ok = rt.probSrc[pid].Bernoulli(req.num, req.den)
 		if rt.faulty && rt.inj.LoseCoin(pid) {
@@ -551,7 +569,7 @@ func (rt *Engine) execute(pid int) {
 			resp.ok = false
 		}
 		if resp.ok {
-			file.Store(req.reg, req.val)
+			rt.store(req.reg, req.val)
 		}
 	case sched.OpCollect:
 		rt.collectBuf = file.SnapshotAppend(rt.collectBuf[:0], req.arr)
@@ -666,6 +684,12 @@ func (rt *Engine) resume(pid int) {
 		// compares against this to detect an overlapping write.
 		rt.invVal[pid] = rt.cfg.File.Load(req.reg)
 	}
+}
+
+// viewsMemory reports whether views at power p carry Memory (and with it
+// Changed/ChangedFrom): the location-oblivious and adaptive classes (§2.1).
+func viewsMemory(p sched.Power) bool {
+	return p == sched.LocationOblivious || p == sched.Adaptive
 }
 
 // restrictOp projects a pending request down to what rt.power permits the

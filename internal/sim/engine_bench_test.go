@@ -71,8 +71,16 @@ func benchConfig(power sched.Power, n, steps int, f *register.File) Config {
 // runStepLoop runs the coroutine engine for exactly `steps` scheduled
 // operations and reports the observed step count.
 func runStepLoop(power sched.Power, n, steps int) (int, error) {
+	return runStepLoopPadded(power, n, 0, steps)
+}
+
+// runStepLoopPadded is runStepLoop over a register file padded with pad
+// untouched cells, the shape of a protocol that allocates a long object
+// chain but touches only its first stages.
+func runStepLoopPadded(power sched.Power, n, pad, steps int) (int, error) {
 	f := register.NewFile()
 	a := f.Alloc(n, "bench")
+	f.Alloc(pad, "pad")
 	res, err := Run(benchConfig(power, n, steps, f),
 		func(e *Env) value.Value { return benchBody(e, a) })
 	if err != nil && !errors.Is(err, ErrStepLimit) {
@@ -131,22 +139,28 @@ func BenchmarkStepLoopChanEngine(b *testing.B) {
 
 // TestStepLoopZeroAllocs pins the headline property of the rewrite: with
 // tracing off, the steady-state step path performs zero allocations per
-// step for the powers that don't serve a memory image (oblivious,
-// value-oblivious). Per-run setup (coroutines, buffers, rand streams) is
-// amortized by the step count and must round to zero.
+// step at every power. The memory-seeing powers (location-oblivious,
+// adaptive) run over a 2,048-cell file, the size of a binary protocol's
+// object chain, since their views alias the live file rather than copy it.
+// Per-run setup (coroutines, buffers, rand streams) is amortized by the
+// step count and must round to zero.
 func TestStepLoopZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement needs a long run")
 	}
-	for _, power := range []sched.Power{sched.Oblivious, sched.ValueOblivious} {
+	for _, power := range benchPowers {
+		pad := 0
+		if power == sched.LocationOblivious || power == sched.Adaptive {
+			pad = 2048
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
-			if _, err := runStepLoop(power, 16, b.N); err != nil {
+			if _, err := runStepLoopPadded(power, 16, pad, b.N); err != nil {
 				b.Fatal(err)
 			}
 		})
 		if a := r.AllocsPerOp(); a != 0 {
-			t.Errorf("%s/n=16: %d allocs/step, want 0 (%s)", power, a, r.MemString())
+			t.Errorf("%s/n=16/pad=%d: %d allocs/step, want 0 (%s)", power, pad, a, r.MemString())
 		}
 	}
 }

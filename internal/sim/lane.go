@@ -185,7 +185,7 @@ type LaneEngine struct {
 	// Scheduler view state, maintained incrementally exactly as in Engine.
 	view       sched.View
 	runnable   []int
-	memBuf     []value.Value
+	seesMemory bool
 	collectBuf []value.Value
 
 	armed    bool
@@ -250,8 +250,9 @@ func NewLaneEngine(cfg Config, programs ...LaneProgram) (*LaneEngine, error) {
 		stalledBuf:  make([]bool, cfg.N),
 		meter:       cfg.Meter,
 		runnable:    make([]int, 0, cfg.N),
+		seesMemory:  viewsMemory(cfg.Scheduler.MinPower()),
 	}
-	eng.view = sched.View{Power: eng.power, N: cfg.N, Pending: make([]sched.Op, cfg.N)}
+	eng.view = sched.View{Power: eng.power, N: cfg.N, Pending: make([]sched.Op, cfg.N), Changed: -1, ChangedFrom: value.None}
 	for pid := range eng.baseCrashAt {
 		eng.baseCrashAt[pid] = maxInt
 	}
@@ -355,6 +356,7 @@ func (eng *LaneEngine) Reset(seed uint64, faults *fault.Injector) error {
 	}
 	eng.view.Step = 0
 	eng.view.Memory = nil
+	eng.view.Changed, eng.view.ChangedFrom = -1, value.None
 	eng.runnable = eng.runnable[:0]
 	eng.armed = true
 	return nil
@@ -473,12 +475,11 @@ func (rt *LaneEngine) loop() error {
 		}
 		rt.view.Step = rt.steps
 		rt.view.Runnable = rt.runnable
-		switch rt.power {
-		case sched.LocationOblivious, sched.Adaptive:
-			rt.memBuf = rt.cfg.File.AppendContents(rt.memBuf[:0])
-			rt.view.Memory = rt.memBuf
+		if rt.seesMemory {
+			rt.view.Memory = rt.cfg.File.Cells()
 		}
 		pid := rt.cfg.Scheduler.Next(&rt.view)
+		rt.view.Changed, rt.view.ChangedFrom = -1, value.None
 		if pid < 0 || pid >= rt.cfg.N || !rt.procs[pid].hasOp || rt.procs[pid].crashed {
 			panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
 		}
@@ -506,6 +507,18 @@ func (rt *LaneEngine) dropRunnable(pid int) {
 	}
 }
 
+// store is Engine.store: it writes v to r and, for the powers that see
+// memory, reports a real change in the next view's Changed/ChangedFrom.
+func (rt *LaneEngine) store(r register.Reg, v value.Value) {
+	file := rt.cfg.File
+	if rt.seesMemory {
+		if old := file.Load(r); old != v {
+			rt.view.Changed, rt.view.ChangedFrom = r, old
+		}
+	}
+	file.Store(r, v)
+}
+
 // execute applies pid's pending operation, then steps pid's state machine to
 // obtain its next operation (unless pid crashes at this step). It mirrors
 // Engine.execute exactly — same op semantics, same RNG draws, same fault
@@ -520,7 +533,7 @@ func (rt *LaneEngine) execute(pid int) {
 	case sched.OpRead:
 		p.env.RVal = file.Load(req.Reg)
 	case sched.OpWrite:
-		file.Store(req.Reg, req.Val)
+		rt.store(req.Reg, req.Val)
 	case sched.OpProbWrite:
 		ok := rt.probSrc[pid].Bernoulli(req.Num, req.Den)
 		if rt.faulty && rt.inj.LoseCoin(pid) {
@@ -530,7 +543,7 @@ func (rt *LaneEngine) execute(pid int) {
 			ok = false
 		}
 		if ok {
-			file.Store(req.Reg, req.Val)
+			rt.store(req.Reg, req.Val)
 		}
 		p.env.ROK = ok
 	case sched.OpCollect:

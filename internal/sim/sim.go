@@ -13,11 +13,11 @@
 // there: every shared-memory operation costs 1 (probabilistic writes cost 1
 // whether or not they take effect), local coin flips cost 0.
 //
-// The step path is allocation-free in the steady state: scheduler views,
-// memory images, and collect snapshots are served from buffers owned by the
-// engine and reused every step (see the copy-on-escape contracts on
-// sched.View and Env.Collect), and trace events are not even constructed
-// when tracing is off.
+// The step path is allocation-free in the steady state: scheduler views and
+// collect snapshots are served from buffers owned by the engine and reused
+// every step, memory-seeing views alias the live register file instead of
+// copying it (see the contracts on sched.View and Env.Collect), and trace
+// events are not even constructed when tracing is off.
 //
 // The same contract extends from steps to whole trials: Engine is a
 // reusable runtime for one (programs, scheduler, config) cell whose
