@@ -371,28 +371,38 @@ func (o *Outcome) MaxWork() int {
 	return m
 }
 
-// newOutcome converts a protocol run into the public Outcome, reading each
-// process's deciding stage from the run's own per-run snapshot.
+// newOutcome converts a protocol run into a caller-owned Outcome.
 func newOutcome(run *harness.ProtocolRun) *Outcome {
+	o := new(Outcome)
+	o.fill(run)
+	return o
+}
+
+// fill sets o from a protocol run, reading each process's deciding stage
+// from the run's own per-run snapshot. o's Stage and FellBack buffers are
+// reused; Outputs, Decided, Work and Trace alias the run's.
+func (o *Outcome) fill(run *harness.ProtocolRun) {
 	n := len(run.Decided)
-	out := &Outcome{
+	if cap(o.Stage) < n {
+		o.Stage, o.FellBack = make([]int, n), make([]bool, n)
+	}
+	*o = Outcome{
+		Value:     None,
 		Outputs:   run.Result.Outputs,
 		Decided:   run.Decided,
-		Stage:     make([]int, n),
-		FellBack:  make([]bool, n),
+		Stage:     o.Stage[:n],
+		FellBack:  o.FellBack[:n],
 		TotalWork: run.Result.TotalWork,
 		Work:      run.Result.Work,
 		Violation: run.Violation,
 		Trace:     run.Trace,
-		Value:     None,
 	}
-	for pid := range out.Stage {
-		out.Stage[pid], out.FellBack[pid] = run.DecidedStage(pid)
+	for pid := range n {
+		o.Stage[pid], o.FellBack[pid] = run.DecidedStage(pid)
+		if o.Value == None && run.Decided[pid] && run.Result.Halted[pid] {
+			o.Value = run.Result.Outputs[pid]
+		}
 	}
-	if decided := run.DecidedOutputs(); len(decided) > 0 {
-		out.Value = decided[0]
-	}
-	return out
 }
 
 // Solve runs one execution with the given per-process inputs (len n, or a
@@ -467,11 +477,13 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 // Sweep runs trials independent executions of this consensus spec on the
 // parallel trial engine and folds the outcomes, in trial order, through
 // merge. Each trial's seed derives from WithSeed's root via TrialSeed, so
-// aggregates are bit-identical at any worker count — and at any lane width:
-// lane-eligible sweeps (Sim backend, no trace/meter/faults) route whole
-// batches of trials through one reusable engine, the throughput path
-// WithBatching tunes, while ineligible ones replay per-trial pooled
-// sessions.
+// aggregates are bit-identical at any worker count. Trials run on pooled
+// sessions, each replaying a rewound protocol instance from this
+// Consensus's pool, so a warm sweep allocates nothing per trial.
+//
+// The *Outcome passed to merge is valid only until merge returns: Sweep
+// refills the same Outcome for every trial, and its slices share the
+// session's buffers. A merge that needs anything later must copy it.
 //
 // newSched builds the adversary; it is called once per pooled session (not
 // per trial) because schedulers are stateful, which is why Sweep takes a
@@ -506,25 +518,37 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 		return err
 	}
 	// Surface construction errors here, once, so the per-session Build
-	// closure below cannot fail. The pre-flight instance goes straight back
-	// to the pool, where the first session picks it up.
-	in, err := c.acquire()
+	// closure below cannot fail. The pre-flight instance serves the first
+	// session, or goes back to the pool if no session is built.
+	spare, err := c.acquire()
 	if err != nil {
 		return err
 	}
-	c.release(in)
 	base := rc.inputs
 	if len(base) == 0 {
 		base = []Value{0} // placeholder; the per-trial hook overrides it
 	}
-	spec := harness.ProtocolSweep{
-		Build: func() (*core.Protocol, harness.ObjectConfig) {
-			// Sessions keep their instance: the harness has no hook that
-			// would hand it back when the sweep ends.
-			in, err := c.acquire()
-			if err != nil {
+	var (
+		mu   sync.Mutex
+		held []*instance // instances lent to sessions, until released
+	)
+	lend := func() *instance {
+		mu.Lock()
+		defer mu.Unlock()
+		in := spare
+		spare = nil
+		if in == nil {
+			var err error
+			if in, err = c.acquire(); err != nil {
 				panic(err) // unreachable: the pre-flight build above succeeded
 			}
+		}
+		held = append(held, in)
+		return in
+	}
+	spec := harness.ProtocolSweep{
+		Build: func() (*core.Protocol, harness.ObjectConfig) {
+			in := lend()
 			var sched Scheduler
 			if newSched != nil {
 				sched = newSched()
@@ -537,18 +561,37 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 			}
 		},
 		Inputs: inputs,
+		// A cleanly closed session's instance goes back to the pool, so the
+		// next Sweep or Solve on c reuses it instead of building one.
+		Release: func(p *core.Protocol) {
+			mu.Lock()
+			defer mu.Unlock()
+			for i, in := range held {
+				if in.proto == p {
+					held = append(held[:i], held[i+1:]...)
+					c.release(in)
+					return
+				}
+			}
+		},
 	}
-	var violation error
-	violationAt := trials
+	var (
+		out         Outcome
+		violation   error
+		violationAt = trials
+	)
 	err = harness.SweepProtocol(rc.sweep(trials), spec, func(t Trial, run *harness.ProtocolRun) {
-		out := newOutcome(run)
 		if run.Violation != nil && t.Index < violationAt {
 			violation, violationAt = run.Violation, t.Index
 		}
 		if merge != nil {
-			merge(t, out)
+			out.fill(run)
+			merge(t, &out)
 		}
 	})
+	if spare != nil {
+		c.release(spare)
+	}
 	if err != nil {
 		return err
 	}

@@ -36,11 +36,25 @@ type Monitor struct {
 // NewMonitor builds a monitor for an execution with the given per-process
 // inputs (the validity reference set).
 func NewMonitor(inputs []value.Value) *Monitor {
-	m := &Monitor{inputs: make(map[value.Value]bool, len(inputs)), ins: inputs}
+	m := new(Monitor)
+	m.Reset(inputs)
+	return m
+}
+
+// Reset rewinds m in place to a fresh monitor for inputs, reusing its
+// storage, so a pooled session checks trial after trial without building
+// a monitor per trial. It must not race with Observe.
+func (m *Monitor) Reset(inputs []value.Value) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.inputs == nil {
+		m.inputs = make(map[value.Value]bool, len(inputs))
+	}
+	clear(m.inputs)
 	for _, v := range inputs {
 		m.inputs[v] = true
 	}
-	return m
+	m.ins, m.decided, m.err = inputs, false, nil
 }
 
 // Observe records pid's decision v and checks it against the inputs

@@ -195,3 +195,60 @@ func TestWorkAccounting(t *testing.T) {
 		t.Fatal("expected negative-work error")
 	}
 }
+
+func TestMonitor(t *testing.T) {
+	m := NewMonitor(vals(0, 1))
+	if err := m.Observe(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	err := m.Observe(1, 0)
+	if err == nil || !strings.Contains(err.Error(), "agreement") {
+		t.Fatalf("err = %v, want an agreement violation", err)
+	}
+	if m.Err() != err {
+		t.Fatalf("Err() = %v, want the first violation %v", m.Err(), err)
+	}
+	if m.Observe(3, 7) != err {
+		t.Fatal("a later violation replaced the first")
+	}
+
+	m = NewMonitor(vals(4))
+	if err := m.Observe(0, 5); err == nil || !strings.Contains(err.Error(), "validity") {
+		t.Fatalf("err = %v, want a validity violation", err)
+	}
+}
+
+// TestMonitorReset pins the in-place rewind pooled sessions use: after
+// Reset a monitor that saw a violation behaves exactly like a fresh one for
+// the new inputs — no error, no remembered decision, and the old inputs no
+// longer valid.
+func TestMonitorReset(t *testing.T) {
+	m := NewMonitor(vals(0, 1))
+	m.Observe(0, 1)
+	m.Observe(1, 0)
+	if m.Err() == nil {
+		t.Fatal("setup: expected an agreement violation")
+	}
+
+	m.Reset(vals(2, 3))
+	if err := m.Err(); err != nil {
+		t.Fatalf("Err() after Reset = %v, want nil", err)
+	}
+	if err := m.Observe(0, 3); err != nil {
+		t.Fatalf("first decision after Reset: %v (the old decision was remembered)", err)
+	}
+	if err := m.Observe(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe(2, 2); err == nil || !strings.Contains(err.Error(), "agreement") {
+		t.Fatalf("err = %v, want an agreement violation against the post-Reset decision", err)
+	}
+
+	m.Reset(vals(2, 3))
+	if err := m.Observe(0, 1); err == nil || !strings.Contains(err.Error(), "validity") {
+		t.Fatalf("err = %v, want a validity violation: 1 is not among the reset inputs", err)
+	}
+}

@@ -170,14 +170,6 @@ type Capabilities struct {
 	// execute (always at least register.Atomic). A Config.Registers outside
 	// the set is a configuration error the caller reports before running.
 	Semantics register.SemanticsSet
-	// Batched reports whether NewSession's sessions also implement
-	// BatchSession natively, i.e. running a lane of K trials through
-	// RunBatch amortizes real work (dispatch, staging, per-trial setup)
-	// instead of just looping Run. The harness routes eligible sweep cells
-	// through lanes only on backends that report it; everyone else falls
-	// back to per-trial Run (or the RunSeeds loop, which is semantically a
-	// batch but buys nothing).
-	Batched bool
 }
 
 // Session is one reusable execution context: the per-trial analogue of the
@@ -207,10 +199,8 @@ type Session interface {
 }
 
 // BatchSession is a Session that can run a whole lane of trials in one
-// call, amortizing per-trial dispatch across the batch. Sessions of backends
-// whose Capabilities report Batched implement it natively (sim); any Session
-// can be driven batch-wise through RunSeeds, which loops Run with the same
-// begin/emit protocol.
+// call, amortizing per-trial dispatch across the batch. The simulator's
+// op-coded lane engine implements it (sim.NewLaneSession).
 //
 // Contract, on top of Session's:
 //
@@ -230,27 +220,6 @@ type Session interface {
 type BatchSession interface {
 	Session
 	RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error
-}
-
-// RunSeeds drives any Session through the BatchSession begin/emit protocol
-// by looping Run — the uniform fallback for sessions without a native
-// RunBatch, and the reference semantics native implementations must match.
-func RunSeeds(s Session, ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error {
-	for k, seed := range seeds {
-		if begin != nil {
-			if err := begin(k); err != nil {
-				if !emit(k, nil, err) {
-					return nil
-				}
-				continue
-			}
-		}
-		res, err := s.Run(ctx, seed)
-		if !emit(k, res, err) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Backend runs process programs against shared registers under one
@@ -307,13 +276,6 @@ func (s *oneShotSession) Run(ctx context.Context, seed uint64) (*Result, error) 
 	cfg.Seed = seed
 	cfg.Context = ctx
 	return s.backend.Run(cfg, s.programs...)
-}
-
-// RunBatch implements BatchSession by looping Run: no amortization, just
-// the uniform seam (see RunSeeds). Backends served by one-shot sessions
-// report Batched: false, so the harness never routes lanes here.
-func (s *oneShotSession) RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error {
-	return RunSeeds(s, ctx, seeds, begin, emit)
 }
 
 // Close implements Session.

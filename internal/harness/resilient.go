@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/modular-consensus/modcon/internal/exec"
@@ -186,12 +185,20 @@ func classify[T any](r T, err error) (TrialOutcome, error) {
 	return "", err
 }
 
+// errAbandoned is what release hears about a session whose attempt was
+// abandoned: the session is discarded like a poisoned one, since nothing
+// is known about the state its runaway attempt left it in.
+var errAbandoned = fmt.Errorf("harness: attempt abandoned: %w", exec.ErrSessionPoisoned)
+
 // runAttempt executes one attempt of a trial under the watchdog, containing
 // panics to the attempt's goroutine. abandoned reports the pathological
 // case of a trial that ignored cancellation past the grace period — its
 // goroutine is leaked by design (there is no way to kill it), counted as a
-// timeout, and the leak is bounded by one goroutine per abandoned trial.
-func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(context.Context, Trial) (T, error)) (result T, err error, pan any, abandoned bool) {
+// timeout, and the leak is bounded by two goroutines per abandoned trial:
+// the attempt and one that waits for it, to discard its session should it
+// ever return. A panicked attempt returns no session: the one it held is
+// abandoned where it stood.
+func runAttempt[S comparable, T any](ctx context.Context, rz Resilience, t Trial, ex executor[S, T]) (sess S, result T, err error, pan any, abandoned bool) {
 	attemptCtx := ctx
 	cancel := context.CancelFunc(func() {})
 	if rz.Deadline > 0 {
@@ -200,6 +207,7 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 	defer cancel()
 
 	type attemptDone struct {
+		sess   S
 		result T
 		err    error
 		pan    any
@@ -211,8 +219,8 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 				ch <- attemptDone{pan: p}
 			}
 		}()
-		r, err := run(attemptCtx, t)
-		ch <- attemptDone{result: r, err: err}
+		s, r, err := ex.run(attemptCtx, t)
+		ch <- attemptDone{sess: s, result: r, err: err}
 	}()
 
 	var d attemptDone
@@ -228,58 +236,73 @@ func runAttempt[T any](ctx context.Context, rz Resilience, t Trial, run func(con
 		select {
 		case d = <-ch:
 		case <-timer.C:
-			return result, fmt.Errorf("%w (unresponsive to cancellation for %v; goroutine abandoned)", context.Cause(attemptCtx), rz.grace()), nil, true
+			go func() {
+				if late := <-ch; late.pan == nil {
+					ex.release(late.sess, errAbandoned)
+				}
+			}()
+			return sess, result, fmt.Errorf("%w (unresponsive to cancellation for %v; goroutine abandoned)", context.Cause(attemptCtx), rz.grace()), nil, true
 		}
 	}
-	return d.result, d.err, d.pan, false
+	return d.sess, d.result, d.err, d.pan, false
 }
 
 // runRobustTrial drives one trial to a classification: attempts, watchdog,
 // panic containment, bounded retry. dropped means the sweep was cancelled
-// mid-trial and the trial should not be counted at all.
-func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func(context.Context, Trial) (T, error)) (result T, rep TrialReport, dropped bool) {
+// mid-trial and the trial should not be counted at all. sess is the
+// session the final attempt's result borrows from and err that attempt's
+// raw error, for the caller to release the session with once the result is
+// folded; the sessions of discarded attempts are released here.
+func runRobustTrial[S comparable, T any](ctx context.Context, rz Resilience, t Trial, ex executor[S, T]) (sess S, result T, err error, rep TrialReport, dropped bool) {
 	rep = TrialReport{Trial: t}
 	start := time.Now()
 	defer func() { rep.Elapsed = time.Since(start) }()
 	backoff := rz.backoff()
 	for attempt := 0; ; attempt++ {
 		rep.Attempts = attempt + 1
-		r, err, pan, abandoned := runAttempt(ctx, rz, t, run)
+		var (
+			s         S
+			r         T
+			pan       any
+			abandoned bool
+		)
+		s, r, err, pan, abandoned = runAttempt(ctx, rz, t, ex)
 		if pan != nil {
 			// A panic is a bug, hence deterministic: contain it, report
 			// it, never retry it.
 			rep.Outcome = OutcomePanicked
 			rep.Err = fmt.Errorf("harness: trial panicked: %v", pan)
-			return r, rep, false
+			return s, r, err, rep, false
 		}
 		if abandoned {
 			rep.Outcome = OutcomeTimeout
 			rep.Err = err
-			return r, rep, false
+			return s, r, err, rep, false
 		}
 		outcome, cerr := classify(r, err)
 		if outcome == OutcomeTimeout && ctx.Err() != nil && !errors.Is(err, ErrTrialDeadline) {
 			// The sweep's own context (not the per-trial watchdog) killed
 			// this attempt: the trial was never given its full deadline,
 			// so counting it as a timeout would poison the aggregates.
-			return r, rep, true
+			return s, r, err, rep, true
 		}
 		if outcome != "" {
 			rep.Outcome = outcome
 			rep.Err = cerr
-			return r, rep, false
+			return s, r, err, rep, false
 		}
 		// Unknown error: infrastructure trouble, worth retrying — unless
 		// the sweep is shutting down, which is indistinguishable from (and
 		// usually the cause of) the failure.
 		if ctx.Err() != nil {
-			return r, rep, true
+			return s, r, err, rep, true
 		}
 		if attempt >= rz.Retries {
 			rep.Outcome = OutcomeFailed
 			rep.Err = fmt.Errorf("harness: trial failed after %d attempt(s): %w", attempt+1, err)
-			return r, rep, false
+			return s, r, err, rep, false
 		}
+		ex.release(s, err)
 		// Context-aware backoff: a stoppable timer rather than time.After,
 		// so cancellation mid-backoff returns immediately and releases the
 		// timer instead of leaving it live for the full (doubling, possibly
@@ -289,7 +312,7 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return r, rep, true
+			return sess, result, nil, rep, true // no session: s is released
 		}
 		backoff *= 2
 	}
@@ -300,13 +323,21 @@ func runRobustTrial[T any](ctx context.Context, rz Resilience, t Trial, run func
 // (contained panics, watchdog timeouts, safety violations, short runs,
 // retried-then-failed infrastructure errors) and the sweep always returns
 // its partial aggregates. merge, which may be nil, receives every
-// classified trial in trial-index order together with its report; for
-// non-ok outcomes the result may be partial or the zero value — consult
-// rep.Outcome before trusting it.
+// classified trial in trial-index order together with its report, one at a
+// time, as in RunTrials; for non-ok outcomes the result may be partial or
+// the zero value — consult rep.Outcome before trusting it.
 //
 // The returned error is nil unless the sweep's own context was cancelled
 // externally; violations and timeouts are reported, not returned.
 func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context, t Trial) (T, error), merge func(t Trial, r T, rep TrialReport)) (*SweepReport, error) {
+	return sweepRobust(s, rz, ownedExecutor(run), merge)
+}
+
+// sweepRobust runs a robust sweep on ex: the same worker loop and in-order
+// fold as a strict sweep, but every claimed trial reports in — classified,
+// or dropped when the sweep's cancellation cut it short — so the fold sees
+// a gap-free index sequence.
+func sweepRobust[S comparable, T any](s Sweep, rz Resilience, ex executor[S, T], merge func(t Trial, r T, rep TrialReport)) (*SweepReport, error) {
 	report := &SweepReport{Counts: make(map[TrialOutcome]int)}
 	if s.Trials <= 0 {
 		return report, nil
@@ -314,116 +345,52 @@ func RunTrialsRobust[T any](s Sweep, rz Resilience, run func(ctx context.Context
 	if err := s.admissionErr(); err != nil {
 		return report, err
 	}
-	parent := s.Context
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	sweepStart := time.Now()
-	workers := s.workers()
-	type robustOutcome struct {
-		trial   Trial
-		result  T
-		report  TrialReport
-		dropped bool
-	}
-	results := make(chan robustOutcome, workers)
-	var (
-		next int
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-	)
-	claim := func() (Trial, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= s.Trials {
-			return Trial{}, false
+	l := newSweepLoop(s, ex)
+	l.fold = func(e *entry[T]) {
+		if e.dropped {
+			report.StoppedEarly = true
+			return
 		}
-		t := s.trial(next)
-		next++
-		return t, true
+		report.Trials++
+		report.Counts[e.report.Outcome]++
+		report.Reports = append(report.Reports, e.report)
+		if merge != nil {
+			merge(e.trial, e.result, e.report)
+		}
+		l.prog.Done++
+		if e.report.Outcome == OutcomeOK {
+			s.meterCost(&l.prog, any(e.result))
+		}
+		l.prog.Violations = report.Counts[OutcomeViolated]
+		s.observe(&l.prog, l.start, false)
+		if rz.FailFast && e.report.Outcome == OutcomeViolated {
+			report.StoppedEarly = true
+			l.cancel()
+		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				t, ok := claim()
-				if !ok {
-					return
-				}
-				if !s.admit(ctx, t, sweepStart) {
-					// Cancelled while waiting for admission: report the trial
-					// as dropped so the fold's index sequence stays gap-free.
-					var zero T
-					results <- robustOutcome{trial: t, result: zero, dropped: true}
-					continue
-				}
-				r, rep, dropped := runRobustTrial(ctx, rz, t, run)
-				// Every claimed trial reports in — even dropped ones — so
-				// the fold below sees a gap-free index sequence. The
-				// collector drains until the channel closes, so this send
-				// cannot deadlock.
-				results <- robustOutcome{trial: t, result: r, report: rep, dropped: dropped}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Fold classified trials in trial-index order (reorder buffer, as in
-	// RunTrials) so counts, reports, and merge calls are deterministic at
-	// any worker count.
-	var (
-		start    = time.Now()
-		pending  = make(map[int]robustOutcome, workers)
-		nextFold = s.Offset // trial indices are global (shard offset applied)
-		prog     = Progress{Total: s.Trials}
-	)
-	for oc := range results {
-		pending[oc.trial.Index] = oc
+	l.runWorkers(func(own *entry[T]) {
 		for {
-			oc, ok := pending[nextFold]
+			t, ok := l.claim()
 			if !ok {
-				break
+				return
 			}
-			delete(pending, nextFold)
-			nextFold++
-			if oc.dropped {
-				report.StoppedEarly = true
+			if !s.admit(l.ctx, t, l.start) {
+				// Cancelled while waiting for admission: the trial reports
+				// in as dropped.
+				*own = entry[T]{trial: t, dropped: true}
+				l.deliver(own)
 				continue
 			}
-			report.Trials++
-			report.Counts[oc.report.Outcome]++
-			report.Reports = append(report.Reports, oc.report)
-			if merge != nil {
-				merge(oc.trial, oc.result, oc.report)
-			}
-			prog.Done++
-			if oc.report.Outcome == OutcomeOK {
-				s.meterCost(&prog, any(oc.result))
-			}
-			prog.Violations = report.Counts[OutcomeViolated]
-			s.observe(&prog, start, false)
-			if rz.FailFast && oc.report.Outcome == OutcomeViolated {
-				report.StoppedEarly = true
-				cancel()
-			}
+			sess, r, err, rep, dropped := runRobustTrial(l.ctx, rz, t, ex)
+			own.trial, own.result, own.report, own.dropped = t, r, rep, dropped
+			l.deliver(own)
+			ex.release(sess, err)
 		}
-	}
-	s.observe(&prog, start, true)
-	if nextFold < s.Offset+s.Trials {
+	})
+	l.recycleAll()
+	s.observe(&l.prog, l.start, true)
+	if l.nextFold < s.Offset+s.Trials {
 		report.StoppedEarly = true
 	}
-	if err := parent.Err(); err != nil {
-		return report, err
-	}
-	return report, nil
+	return report, l.parent.Err()
 }

@@ -196,8 +196,8 @@ type ProtocolRun struct {
 	// decision (false for crashed processes and chain exhaustion).
 	Decided []bool
 	// DecidedIdx holds, per process, the chain index at which it decided
-	// (-1 if it did not). It is a per-run snapshot, safe to read while the
-	// protocol instance is already executing a later run; DecidedStage
+	// (-1 if it did not). It belongs to the run, not to the protocol
+	// instance, which may already be executing a later run; DecidedStage
 	// translates it to the paper's stage numbering.
 	DecidedIdx []int32
 	// Violation is the first safety violation (agreement or validity) the

@@ -9,14 +9,18 @@
 // exec.Session.Run(ctx, seed), which on reusable backends (sim) rewinds the
 // engine in place — zero allocations per trial below the harness.
 //
-// The pool hands each worker a session for the duration of one trial.
-// Sessions return to the pool only on normal return: a trial that panics
-// never executes the put, so a session whose engine may be mid-unwind
-// (poisoned) is abandoned rather than recycled, and a session that reports
-// exec.ErrSessionPoisoned is closed on the spot. The robust trial engine's
-// abandoned attempts (deadline overruns that never came back) keep their
-// session checked out forever — leaking one session is the price of never
-// reusing state a runaway goroutine might still be touching.
+// The pool hands each worker a session for the duration of one trial, and
+// the worker hands it back once the trial's result is folded: merged, or
+// copied aside to wait for its turn. Each session owns one reusable run
+// whose buffers every trial overwrites, so nothing is copied per trial
+// unless the result has to wait. Sessions return to the pool only on
+// normal return: a trial that panics never hands its session back, so a
+// session whose engine may be mid-unwind (poisoned) is abandoned rather
+// than recycled, and a session that reports exec.ErrSessionPoisoned is
+// closed on the spot. The robust trial engine's abandoned attempts
+// (deadline overruns that never came back) keep their session checked out
+// until they return, and it is then discarded — never reusing state a
+// runaway goroutine might have touched.
 //
 // Determinism: a trial's outcome is a pure function of (cell, seed, inputs).
 // Engine.Reset restores registers, scheduler state, and RNG streams from the
@@ -34,8 +38,6 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
-	"github.com/modular-consensus/modcon/internal/fault"
-	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -65,6 +67,11 @@ type ProtocolSweep struct {
 	// Inputs optionally overrides the configuration's inputs per trial; see
 	// ObjectSweep.Inputs.
 	Inputs func(t Trial) []value.Value
+	// Release, if non-nil, receives the protocol of every session the sweep
+	// closes cleanly, once the session is done with it, so Build may hand
+	// out pooled instances and take them back here. Sessions that were
+	// poisoned or abandoned are never released.
+	Release func(p *core.Protocol)
 }
 
 // errPoolClosed is returned by sessionPool.get after closeAll; it can only
@@ -72,23 +79,32 @@ type ProtocolSweep struct {
 // is already ending.
 var errPoolClosed = errors.New("harness: session pool closed")
 
+// session is what the pool holds: one cell, replayed per trial. The run
+// runTrial returns is the session's own and is overwritten by its next
+// trial. close(clean) tears the session down; clean is false for sessions
+// that were poisoned or abandoned.
+type session[R any] interface {
+	comparable
+	runTrial(ctx context.Context, t Trial) (R, error)
+	close(clean bool)
+}
+
 // sessionPool hands out sessions to workers, one per in-flight trial. make
 // is called when the free list is empty, so a sweep creates at most
 // workers-many sessions (plus replacements for discarded ones).
-type sessionPool[S any] struct {
-	make  func() (S, error)
-	close func(S)
+type sessionPool[S session[R], R any] struct {
+	make func() (S, error)
 
 	mu     sync.Mutex
 	free   []S
 	closed bool
 }
 
-func newSessionPool[S any](mk func() (S, error), cl func(S)) *sessionPool[S] {
-	return &sessionPool[S]{make: mk, close: cl}
+func newSessionPool[S session[R], R any](mk func() (S, error)) *sessionPool[S, R] {
+	return &sessionPool[S, R]{make: mk}
 }
 
-func (p *sessionPool[S]) get() (S, error) {
+func (p *sessionPool[S, R]) get() (S, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
@@ -105,14 +121,23 @@ func (p *sessionPool[S]) get() (S, error) {
 	return p.make()
 }
 
-// put returns a session to the free list. After closeAll (a late put from an
-// attempt that outlived the sweep) the session is closed instead — the pool
-// never resurrects.
-func (p *sessionPool[S]) put(s S) {
+// release returns a session whose result has been folded. A session that
+// reported exec.ErrSessionPoisoned is closed unclean instead; after
+// closeAll (a late return) a clean session is closed rather than pooled —
+// the pool never resurrects. The zero S (no session) is ignored.
+func (p *sessionPool[S, R]) release(s S, err error) {
+	var zero S
+	if s == zero {
+		return
+	}
+	if errors.Is(err, exec.ErrSessionPoisoned) {
+		s.close(false)
+		return
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.close(s)
+		s.close(true)
 		return
 	}
 	p.free = append(p.free, s)
@@ -121,36 +146,107 @@ func (p *sessionPool[S]) put(s S) {
 
 // closeAll closes every free session and marks the pool closed. Sessions
 // still checked out by abandoned attempts are not touched — their goroutines
-// may be live inside Run — and are closed (or leaked, if the attempt never
-// returns) via the late-put path.
-func (p *sessionPool[S]) closeAll() {
+// may be live inside Run — and are discarded if the attempt ever returns.
+func (p *sessionPool[S, R]) closeAll() {
 	p.mu.Lock()
 	free := p.free
 	p.free = nil
 	p.closed = true
 	p.mu.Unlock()
 	for _, s := range free {
-		p.close(s)
+		s.close(true)
 	}
 }
 
-// cloneResult deep-copies a session-owned Result so the merge goroutine (and
-// anything the caller's merge retains) stays valid while the session's
-// buffers are overwritten by its next trial.
-func cloneResult(r *exec.Result) *exec.Result {
+// sessionExecutor runs each trial on a session from pool, leaving the
+// result in the session's buffers until the loop has folded it. park
+// copies out a result that must wait for its turn, and slots keeps the
+// slots holding such copies from one sweep to the next.
+func sessionExecutor[S session[R], R any](pool *sessionPool[S, R], park func(buf *R, r R) R, slots *sync.Pool) executor[S, R] {
+	return executor[S, R]{
+		run: func(ctx context.Context, t Trial) (S, R, error) {
+			s, err := pool.get()
+			if err != nil {
+				var r R
+				return s, r, err
+			}
+			r, err := s.runTrial(ctx, t)
+			return s, r, err
+		},
+		release: pool.release,
+		park:    park,
+		slots:   slots,
+	}
+}
+
+// objectSlots and protocolSlots keep the reorder slots of object and
+// protocol sweeps, copy storage included, between sweeps, so that a
+// sweep's out-of-order trials do not allocate either.
+var objectSlots, protocolSlots sync.Pool
+
+// copyResult deep-copies src into dst, reusing dst's buffers. The trace is
+// left to the caller, which attaches its own snapshot.
+func copyResult(dst, src *exec.Result) {
+	stalled := dst.Stalled[:0]
+	*dst = exec.Result{
+		Outputs:   append(dst.Outputs[:0], src.Outputs...),
+		Halted:    append(dst.Halted[:0], src.Halted...),
+		Crashed:   append(dst.Crashed[:0], src.Crashed...),
+		Work:      append(dst.Work[:0], src.Work...),
+		TotalWork: src.TotalWork,
+		Steps:     src.Steps,
+	}
+	if src.Stalled != nil {
+		dst.Stalled = append(stalled, src.Stalled...)
+	}
+}
+
+// parkResult copies a session-owned result into *buf (allocated on first
+// use), or returns nil for a run without one.
+func parkResult(buf **exec.Result, src *exec.Result, tr *trace.Log) *exec.Result {
+	if src == nil {
+		return nil
+	}
+	if *buf == nil {
+		*buf = new(exec.Result)
+	}
+	copyResult(*buf, src)
+	(*buf).Trace = tr
+	return *buf
+}
+
+// parkObjectRun copies a session-owned object run into *buf, reusing its
+// buffers; only a traced run allocates (its trace snapshot).
+func parkObjectRun(buf **ObjectRun, r *ObjectRun) *ObjectRun {
 	if r == nil {
 		return nil
 	}
-	cp := *r
-	cp.Outputs = append([]value.Value(nil), r.Outputs...)
-	cp.Halted = append([]bool(nil), r.Halted...)
-	cp.Crashed = append([]bool(nil), r.Crashed...)
-	if r.Stalled != nil {
-		cp.Stalled = append([]bool(nil), r.Stalled...)
+	if *buf == nil {
+		*buf = new(ObjectRun)
 	}
-	cp.Work = append([]int(nil), r.Work...)
-	cp.Trace = nil // the caller attaches its own trace snapshot
-	return &cp
+	cp := *buf
+	cp.Trace = r.Trace.Clone()
+	cp.Result = parkResult(&cp.Result, r.Result, cp.Trace)
+	cp.Decisions = append(cp.Decisions[:0], r.Decisions...)
+	return cp
+}
+
+// parkProtocolRun is parkObjectRun for protocol runs.
+func parkProtocolRun(buf **ProtocolRun, r *ProtocolRun) *ProtocolRun {
+	if r == nil {
+		return nil
+	}
+	if *buf == nil {
+		*buf = new(ProtocolRun)
+	}
+	cp := *buf
+	cp.Trace = r.Trace.Clone()
+	cp.Result = parkResult(&cp.Result, r.Result, cp.Trace)
+	cp.Decided = append(cp.Decided[:0], r.Decided...)
+	cp.DecidedIdx = append(cp.DecidedIdx[:0], r.DecidedIdx...)
+	cp.Violation = r.Violation
+	cp.stageOf = r.stageOf
+	return cp
 }
 
 // sessionInputs owns the per-trial input resolution shared by both session
@@ -183,30 +279,12 @@ func (si *sessionInputs) set(t Trial) error {
 	return nil
 }
 
-// laneEligible reports whether a cell can route trials through batch (lane)
-// execution: the sweep asked for lanes, the backend runs batches natively,
-// and nothing per-trial-stateful is in play. Traced cells need a per-trial
-// trace snapshot, metered cells feed a live observer, fault plans arm
-// per-trial injector state, and non-atomic register semantics are not yet
-// proven bit-stable on the op-coded lane engine — all of which the
-// per-trial pooled path handles; lanes keep the unencumbered fast path. cfg
-// must already carry the sweep's meter (the constructors assign
-// cfg.Meter = s.Meter before calling this).
-func laneEligible(s Sweep, cfg ObjectConfig, caps exec.Capabilities) bool {
-	return s.laneWidth() > 1 && caps.Batched && !cfg.Traced && cfg.Meter == nil &&
-		cfg.Registers == register.Atomic &&
-		fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter)).Empty()
-}
-
 // objectSession is one pooled cell of an object sweep: a built object, its
-// backend session, and the buffers its program closures write into.
+// backend session, and the run its program closures write into.
 type objectSession struct {
-	sess      exec.Session
-	batch     exec.BatchSession // non-nil iff the cell is lane-eligible
-	seeds     []uint64          // reused seed buffer for batch runs
-	in        sessionInputs
-	decisions []value.Decision
-	log       *trace.Log // session-owned; reset by the engine each trial
+	sess exec.Session
+	in   sessionInputs
+	run  ObjectRun // Decisions and Trace are session-owned; rewritten per trial
 }
 
 func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
@@ -221,103 +299,53 @@ func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
 		return nil, err
 	}
 	os := &objectSession{
-		in:        sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
-		decisions: make([]value.Decision, cfg.N),
+		in:  sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		run: ObjectRun{Decisions: make([]value.Decision, cfg.N)},
 	}
 	if cfg.Traced {
-		os.log = trace.New()
+		os.run.Trace = trace.New()
 	}
 	prog := func(e core.Env) value.Value {
 		v := os.in.live[e.PID()]
 		e.MarkInvoke(obj.Label(), v)
 		d := obj.Invoke(e, v)
 		e.MarkReturn(obj.Label(), d)
-		os.decisions[e.PID()] = d
+		os.run.Decisions[e.PID()] = d
 		return d.V
 	}
-	os.sess, err = be.NewSession(cfg.execConfig(os.log), prog)
+	os.sess, err = be.NewSession(cfg.execConfig(os.run.Trace), prog)
 	if err != nil {
 		return nil, err
-	}
-	if laneEligible(s, cfg, be.Capabilities()) {
-		os.batch, _ = os.sess.(exec.BatchSession)
 	}
 	return os, nil
 }
 
-// runTrial executes one trial and returns a fully detached ObjectRun: the
-// Result, Decisions, and Trace are deep snapshots, safe to retain while the
-// session moves on to its next trial.
+// runTrial executes one trial into the session's run and returns it; the
+// run is overwritten by the session's next trial.
 func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, error) {
 	if err := os.in.set(t); err != nil {
 		return nil, err
 	}
-	for i := range os.decisions {
-		os.decisions[i] = value.Decision{V: value.None}
+	for i := range os.run.Decisions {
+		os.run.Decisions[i] = value.Decision{V: value.None}
 	}
 	res, err := os.sess.Run(ctx, t.Seed)
-	run := &ObjectRun{
-		Result:    cloneResult(res),
-		Decisions: append([]value.Decision(nil), os.decisions...),
-		Trace:     os.log.Clone(),
-	}
-	if run.Result != nil {
-		run.Result.Trace = run.Trace
-	}
-	return run, err
+	os.run.Result = res
+	return &os.run, err
 }
 
-// runBatch executes one lane of trials through the cell's batch session. The
-// begin hook stages trial k's inputs and clears the decision buffer — the
-// exact per-trial preamble of runTrial — and the emit hook detaches each
-// result before handing it on, so the batch path produces the same deep
-// per-trial snapshots as the pooled path, in the same order.
-func (os *objectSession) runBatch(ctx context.Context, trials []Trial, emit func(k int, run *ObjectRun, err error) bool) error {
-	os.seeds = os.seeds[:0]
-	for _, t := range trials {
-		os.seeds = append(os.seeds, t.Seed)
-	}
-	return os.batch.RunBatch(ctx, os.seeds, func(k int) error {
-		if err := os.in.set(trials[k]); err != nil {
-			return err
-		}
-		for i := range os.decisions {
-			os.decisions[i] = value.Decision{V: value.None}
-		}
-		return nil
-	}, func(k int, res *exec.Result, err error) bool {
-		if res == nil && err != nil {
-			return emit(k, nil, err) // begin failed; no execution to snapshot
-		}
-		run := &ObjectRun{
-			Result:    cloneResult(res),
-			Decisions: append([]value.Decision(nil), os.decisions...),
-			Trace:     os.log.Clone(),
-		}
-		if run.Result != nil {
-			run.Result.Trace = run.Trace
-		}
-		return emit(k, run, err)
-	})
-}
-
-func (os *objectSession) close() { _ = os.sess.Close() }
+func (os *objectSession) close(bool) { _ = os.sess.Close() }
 
 // protocolSession is one pooled cell of a protocol sweep. Decisions are
-// recorded through core.Protocol.RunIndexed, which leaves the protocol's own
-// decided-at instrumentation untouched — the session keeps per-trial indices
-// in its own buffers, so the merge goroutine can read trial k's snapshot
-// while this session already runs trial k+1.
+// recorded through core.Protocol.RunIndexed into the session's run, never
+// into the protocol, whose own state lives entirely in its registers.
 type protocolSession struct {
-	sess       exec.Session
-	batch      exec.BatchSession // non-nil iff the cell is lane-eligible
-	seeds      []uint64          // reused seed buffer for batch runs
-	in         sessionInputs
-	decided    []bool
-	decidedIdx []int32
-	mon        *check.Monitor // fresh per trial
-	stageOf    func(idx int) (stage int, fallback bool)
-	log        *trace.Log
+	sess    exec.Session
+	in      sessionInputs
+	mon     check.Monitor // reset per trial
+	run     ProtocolRun   // Decided, DecidedIdx and Trace are session-owned
+	proto   *core.Protocol
+	release func(*core.Protocol)
 }
 
 func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
@@ -332,145 +360,57 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 		return nil, err
 	}
 	ps := &protocolSession{
-		in:         sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
-		decided:    make([]bool, cfg.N),
-		decidedIdx: make([]int32, cfg.N),
-		stageOf:    proto.StageOfIndex,
+		in: sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		run: ProtocolRun{
+			Decided:    make([]bool, cfg.N),
+			DecidedIdx: make([]int32, cfg.N),
+			stageOf:    proto.StageOfIndex,
+		},
+		proto:   proto,
+		release: spec.Release,
 	}
 	if cfg.Traced {
-		ps.log = trace.New()
+		ps.run.Trace = trace.New()
 	}
 	prog := func(e core.Env) value.Value {
 		out, idx, ok := proto.RunIndexed(e, ps.in.live[e.PID()])
-		ps.decided[e.PID()] = ok
-		ps.decidedIdx[e.PID()] = int32(idx)
+		ps.run.Decided[e.PID()] = ok
+		ps.run.DecidedIdx[e.PID()] = int32(idx)
 		if ok {
 			ps.mon.Observe(e.PID(), out)
 		}
 		return out
 	}
-	ps.sess, err = be.NewSession(cfg.execConfig(ps.log), prog)
+	ps.sess, err = be.NewSession(cfg.execConfig(ps.run.Trace), prog)
 	if err != nil {
 		return nil, err
-	}
-	if laneEligible(s, cfg, be.Capabilities()) {
-		ps.batch, _ = ps.sess.(exec.BatchSession)
 	}
 	return ps, nil
 }
 
+// runTrial executes one trial into the session's run and returns it; the
+// run is overwritten by the session's next trial.
 func (ps *protocolSession) runTrial(ctx context.Context, t Trial) (*ProtocolRun, error) {
 	if err := ps.in.set(t); err != nil {
 		return nil, err
 	}
-	for i := range ps.decided {
-		ps.decided[i] = false
-		ps.decidedIdx[i] = -1
+	for i := range ps.run.Decided {
+		ps.run.Decided[i] = false
+		ps.run.DecidedIdx[i] = -1
 	}
-	// The monitor checks each decision online as it lands; it must be fresh
-	// per trial (it accumulates the first observed decision) and built after
-	// the trial's inputs are in place (it checks validity against them).
-	ps.mon = check.NewMonitor(ps.in.live)
+	// The monitor checks each decision online as it lands; it is reset
+	// after the trial's inputs are in place, since it checks validity
+	// against them.
+	ps.mon.Reset(ps.in.live)
 	res, err := ps.sess.Run(ctx, t.Seed)
-	run := &ProtocolRun{
-		Result:     cloneResult(res),
-		Decided:    append([]bool(nil), ps.decided...),
-		DecidedIdx: append([]int32(nil), ps.decidedIdx...),
-		Violation:  ps.mon.Err(),
-		Trace:      ps.log.Clone(),
-		stageOf:    ps.stageOf,
-	}
-	if run.Result != nil {
-		run.Result.Trace = run.Trace
-	}
-	return run, err
+	ps.run.Result = res
+	ps.run.Violation = ps.mon.Err()
+	return &ps.run, err
 }
 
-// runBatch is the protocol counterpart of objectSession.runBatch: the begin
-// hook replays runTrial's per-trial preamble (inputs, decision clears, and a
-// fresh monitor built after the inputs land, since it validates against
-// them), and emit detaches each run before the session moves on.
-func (ps *protocolSession) runBatch(ctx context.Context, trials []Trial, emit func(k int, run *ProtocolRun, err error) bool) error {
-	ps.seeds = ps.seeds[:0]
-	for _, t := range trials {
-		ps.seeds = append(ps.seeds, t.Seed)
+func (ps *protocolSession) close(clean bool) {
+	_ = ps.sess.Close()
+	if clean && ps.release != nil {
+		ps.release(ps.proto)
 	}
-	return ps.batch.RunBatch(ctx, ps.seeds, func(k int) error {
-		if err := ps.in.set(trials[k]); err != nil {
-			return err
-		}
-		for i := range ps.decided {
-			ps.decided[i] = false
-			ps.decidedIdx[i] = -1
-		}
-		ps.mon = check.NewMonitor(ps.in.live)
-		return nil
-	}, func(k int, res *exec.Result, err error) bool {
-		if res == nil && err != nil {
-			return emit(k, nil, err) // begin failed; no execution to snapshot
-		}
-		run := &ProtocolRun{
-			Result:     cloneResult(res),
-			Decided:    append([]bool(nil), ps.decided...),
-			DecidedIdx: append([]int32(nil), ps.decidedIdx...),
-			Violation:  ps.mon.Err(),
-			Trace:      ps.log.Clone(),
-			stageOf:    ps.stageOf,
-		}
-		if run.Result != nil {
-			run.Result.Trace = run.Trace
-		}
-		return emit(k, run, err)
-	})
-}
-
-func (ps *protocolSession) close() { _ = ps.sess.Close() }
-
-// pooledTrial wraps a session pool around one trial: check a session out,
-// run, and return it only on a clean, unpoisoned return. A panic inside
-// runTrial skips the put — the session is never reused — and a session that
-// reports itself poisoned is closed immediately.
-func pooledTrial[S any, R any](pool *sessionPool[S], ctx context.Context, t Trial,
-	runTrial func(S, context.Context, Trial) (R, error), closeSess func(S)) (R, error) {
-	sess, err := pool.get()
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	run, err := runTrial(sess, ctx, t)
-	if errors.Is(err, exec.ErrSessionPoisoned) {
-		closeSess(sess)
-	} else {
-		pool.put(sess)
-	}
-	return run, err
-}
-
-// pooledBatch is pooledTrial's lane counterpart: check a session out, run one
-// batch of trials through it, and return it on a clean unpoisoned return. A
-// poison report — whether surfaced per-trial through emit or as the batch's
-// own error — closes the session instead; a panic inside runBatch skips the
-// put, abandoning the session exactly as pooledTrial would.
-func pooledBatch[S any, R any](pool *sessionPool[S], ctx context.Context, trials []Trial,
-	runBatch func(S, context.Context, []Trial, func(int, R, error) bool) error,
-	closeSess func(S), emit func(k int, r R, err error) bool) error {
-	sess, err := pool.get()
-	if err != nil {
-		return err
-	}
-	poisoned := false
-	err = runBatch(sess, ctx, trials, func(k int, r R, err error) bool {
-		if errors.Is(err, exec.ErrSessionPoisoned) {
-			poisoned = true
-		}
-		return emit(k, r, err)
-	})
-	if poisoned || err != nil {
-		// A batch-level error means the session itself can no longer run
-		// trials (closed or poisoned engine): discard it.
-		closeSess(sess)
-	} else {
-		pool.put(sess)
-	}
-	return err
 }

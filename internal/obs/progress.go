@@ -96,7 +96,8 @@ func (discardSink) Emit(Snapshot) {}
 // and ETA from the observation stream, so callers only feed it raw counts.
 //
 // Reporter is safe for concurrent use; the harness calls Observe from its
-// single merge goroutine, but public callers may share one across sweeps.
+// in-order fold, one trial at a time, but public callers may share one
+// across sweeps.
 type Reporter struct {
 	mu       sync.Mutex
 	sink     Sink

@@ -28,13 +28,12 @@ func Backend() exec.Backend { return backend{} }
 func (backend) Name() string { return "sim" }
 
 // Capabilities implements exec.Backend: the simulator has full adversary
-// control, deterministic replay, trace recording, a genuinely resettable
-// engine behind NewSession (0 allocs/trial after warmup), and native batch
-// execution (session.RunBatch drives the reused engine across a lane of
-// seeds); its clock is simulated steps, not wall time.
+// control, deterministic replay, trace recording, and a genuinely
+// resettable engine behind NewSession (0 allocs/trial after warmup); its
+// clock is simulated steps, not wall time.
 func (backend) Capabilities() exec.Capabilities {
 	return exec.Capabilities{
-		Adversary: true, Tracing: true, Deterministic: true, Reusable: true, Batched: true,
+		Adversary: true, Tracing: true, Deterministic: true, Reusable: true,
 		Semantics: register.SetOf(register.Atomic, register.Regular, register.Interposed),
 	}
 }
@@ -99,32 +98,6 @@ func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 		return nil, err
 	}
 	return s.eng.Run(ctx)
-}
-
-// RunBatch implements exec.BatchSession on the reused engine: one
-// Reset+Run pair per seed, in order, so a lane of K trials is bit-identical
-// to K consecutive Run calls by construction. Per-trial errors (step limit,
-// cancellation) arrive through emit; a Reset failure (closed or poisoned
-// engine) ends the batch, since no later trial could run either.
-func (s *session) RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *exec.Result, err error) bool) error {
-	for k, seed := range seeds {
-		if begin != nil {
-			if err := begin(k); err != nil {
-				if !emit(k, nil, err) {
-					return nil
-				}
-				continue
-			}
-		}
-		if err := s.eng.Reset(seed, s.inj); err != nil {
-			return err
-		}
-		res, err := s.eng.Run(ctx)
-		if !emit(k, res, err) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Close implements exec.Session.

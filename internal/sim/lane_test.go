@@ -332,60 +332,6 @@ func TestLaneBatchMatchesLoopedRuns(t *testing.T) {
 	}
 }
 
-// TestSessionRunBatchMatchesRuns extends the pin to the coroutine-backed
-// session: the closure fallback's RunBatch is the same Reset+Run loop the
-// per-trial path takes, so any closure spec can route through the batch
-// seam without changing results.
-func TestSessionRunBatchMatchesRuns(t *testing.T) {
-	const n = 4
-	cfg, prog := sessionWorkload(n)
-	sess, err := Backend().NewSession(cfg, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	bs, ok := sess.(exec.BatchSession)
-	if !ok {
-		t.Fatal("sim session does not implement exec.BatchSession")
-	}
-
-	seeds := []uint64{11, 5, 11, 2}
-	want := make([]*exec.Result, len(seeds))
-	for k, seed := range seeds {
-		res, err := sess.Run(nil, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[k] = cloneForCompare(res)
-	}
-	err = bs.RunBatch(nil, seeds, nil, func(k int, res *exec.Result, err error) bool {
-		if err != nil {
-			t.Fatalf("seed %d: %v", seeds[k], err)
-		}
-		if !reflect.DeepEqual(cloneForCompare(res), want[k]) {
-			t.Errorf("seed %d: batched trial diverged:\n got %+v\nwant %+v", seeds[k], res, want[k])
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// cloneForCompare deep-copies the session-owned parts of a result so trials
-// can be compared across engine reuse.
-func cloneForCompare(r *exec.Result) *exec.Result {
-	c := *r
-	c.Outputs = append([]value.Value(nil), r.Outputs...)
-	c.Halted = append([]bool(nil), r.Halted...)
-	c.Crashed = append([]bool(nil), r.Crashed...)
-	c.Work = append([]int(nil), r.Work...)
-	if r.Stalled != nil {
-		c.Stalled = append([]bool(nil), r.Stalled...)
-	}
-	return &c
-}
-
 // TestLaneEngineRejectsTrace pins the traceless contract: lane executions
 // have no coroutine free-event interleaving to record, so traced cells must
 // fall back to the coroutine engine.

@@ -116,7 +116,6 @@ type runConfig struct {
 	deadline     time.Duration
 	retries      int
 	failFast     bool
-	laneWidth    int
 	workloadSpec *WorkloadSpec
 	traceRecord  *WorkloadTrace
 	traceReplay  *WorkloadTrace
@@ -292,7 +291,8 @@ func WithCheapCollect(on bool) RunOption {
 }
 
 // WithProgress registers a hook a Trials sweep calls after every merged
-// trial, from a single goroutine. Run and RunProtocol ignore it.
+// trial, one trial at a time and in trial order. Run and RunProtocol
+// ignore it.
 func WithProgress(fn func(SweepProgress)) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.progress = fn })
 }
@@ -320,20 +320,6 @@ func WithHistograms(steps, work *Hist) RunOption {
 		c.stepsHist = steps
 		c.workHist = work
 	})
-}
-
-// WithBatching controls lane (batched) execution for Trials sweeps whose
-// configuration is lane-eligible: the Sim backend with no trace, meter, or
-// fault plan in play. Eligible sweeps run whole lanes of trials per engine
-// checkout instead of one trial each, which removes most per-trial dispatch
-// cost; results and aggregates are bit-identical either way, so the option
-// only moves wall-clock. width > 1 sets the trials-per-lane, 0 (the
-// default) picks the harness default width, and a negative width disables
-// batching. Ineligible sweeps, TrialsRobust (whose per-trial deadline and
-// retry containment need one checkout per trial), Run, and RunProtocol
-// ignore it.
-func WithBatching(width int) RunOption {
-	return runOptionFunc(func(c *runConfig) { c.laneWidth = width })
 }
 
 // WithMeter attaches a live step counter to executions: Run and RunProtocol
@@ -405,7 +391,6 @@ func (c *runConfig) sweep(trials int) harness.Sweep {
 		Trials:    trials,
 		Workers:   c.workers,
 		Seed:      c.seed,
-		LaneWidth: c.laneWidth,
 		Context:   c.ctx,
 		Progress:  c.progress,
 		Reporter:  reporter,
@@ -454,10 +439,10 @@ func RunProtocol(p *Protocol, opts ...RunOption) (*ProtocolRun, error) {
 // state (register files, objects, schedulers) fresh — or replay a reusable
 // session — seed the execution with t.Seed, and thread ctx into it
 // (WithContext) so cancellation reaches in-flight executions. merge, which
-// may be nil, is called from a single goroutine in trial-index order
+// may be nil, is called one trial at a time, in trial-index order
 // regardless of completion order — so aggregates accumulated there are
 // bit-identical at any worker count for the same root seed (see WithSeed,
-// WithWorkers). It also receives each trial's TrialReport; for non-ok
+// WithWorkers). It runs on whichever worker goroutine folds the trial. It also receives each trial's TrialReport; for non-ok
 // outcomes the result may be partial or zero.
 //
 // Trials degrades gracefully instead of aborting: every trial is classified
