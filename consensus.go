@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"github.com/modular-consensus/modcon/internal/check"
@@ -116,21 +117,33 @@ func WithCoinThreshold(votes int) Option {
 // Consensus is a reusable specification of a consensus protocol for n
 // processes and m values. The underlying objects are one-shot, but all of
 // their state lives in registers, so an instance rewound to its
-// post-construction register image is indistinguishable from a fresh one:
-// Solve runs each execution on a pooled, rewound instance and builds one
-// only when the pool is empty. A Consensus is safe for concurrent use and
-// must not be copied.
+// post-construction register image is indistinguishable from a fresh one.
+// A Consensus keeps a pool of built instances, and each pooled instance
+// keeps a warm session that Solve replays: on the simulator, the engine
+// with one parked coroutine per process, the per-process input and
+// decision buffers, and the online safety monitor. Solve builds an
+// instance only when the pool is empty, and a session only on an
+// instance's first Solve or when the call's RunConfig shapes it
+// differently (see Solve). Instances the pool drops, and those of a
+// Consensus that is itself dropped, close their sessions when the garbage
+// collector finalizes them. A Consensus is safe for concurrent use and must
+// not be copied.
 type Consensus struct {
 	n, m int
 	cfg  config
 	pool sync.Pool // of *instance, each rewound to its post-construction image
 }
 
-// instance is one built protocol with the register image it was built with.
+// instance is one built protocol with the register image it was built with
+// and the warm session Solve replays it on. Nothing the session holds —
+// engine, coroutines, program closures — refers back to the instance, so
+// an unreachable instance is finalized even while its coroutines are
+// parked, and the finalizer closes them.
 type instance struct {
 	file  *register.File
 	proto *core.Protocol
 	image []value.Value
+	sess  *harness.ProtocolSession
 }
 
 // acquire takes a rewound protocol instance from the pool, building one
@@ -143,7 +156,13 @@ func (c *Consensus) acquire() (*instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &instance{file: file, proto: proto, image: file.Contents()}, nil
+	in := &instance{file: file, proto: proto, image: file.Contents(), sess: harness.NewProtocolSession(proto)}
+	runtime.SetFinalizer(in, func(in *instance) {
+		// Closing switches into each parked coroutine to unwind it; do
+		// that on a goroutine of its own, not the finalizer goroutine.
+		go in.sess.Close()
+	})
+	return in, nil
 }
 
 // release rewinds in to its post-construction state and returns it to the
@@ -371,10 +390,18 @@ func (o *Outcome) MaxWork() int {
 	return m
 }
 
-// newOutcome converts a protocol run into a caller-owned Outcome.
+// newOutcome copies a protocol run into a caller-owned Outcome: no slice of
+// it aliases the run's buffers, and its trace is a clone, so the session
+// that produced the run may run again at once.
 func newOutcome(run *harness.ProtocolRun) *Outcome {
-	o := new(Outcome)
+	n := len(run.Decided)
+	ints, flags := make([]int, 2*n), make([]bool, 2*n)
+	o := &Outcome{Stage: ints[:n:n], FellBack: flags[:n:n]}
 	o.fill(run)
+	o.Outputs = append([]Value(nil), o.Outputs...)
+	o.Decided = append(flags[n:n], o.Decided...)
+	o.Work = append(ints[n:n], o.Work...)
+	o.Trace = o.Trace.Clone()
 	return o
 }
 
@@ -414,12 +441,17 @@ func (o *Outcome) fill(run *harness.ProtocolRun) {
 // which would indicate a bug, not bad luck — is reported as an error.
 //
 // Solve runs on a pooled protocol instance rewound to its post-construction
-// register image, so a call costs one execution rather than one execution
-// plus the construction of the whole chain. Only a call that finds the pool
-// empty builds: the first call, one racing other concurrent calls, or one
-// after the garbage collector emptied the pool. The instance is rewound and
-// returned on every return, including errors; an execution that panics
-// drops it.
+// register image and replays that instance's warm session, so a warm call
+// costs one execution: no chain construction, no engine, no coroutines.
+// Only a call that finds the pool empty builds an instance: the first call,
+// one racing other concurrent calls, or one after the garbage collector
+// emptied the pool. The session is rebuilt only when the call's backend,
+// Registers, CheapCollect, MaxSteps, Traced or fault plan (Faults merged
+// with CrashAfter) differ from the previous call on the same instance; the
+// scheduler, seed, inputs and Context are per call. The instance is rewound
+// and returned on every return, including errors; an execution that panics
+// drops it. The returned Outcome is the caller's: nothing in it is shared
+// with the pool or with other calls.
 func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunConfig) (*Outcome, error) {
 	var rc RunConfig
 	switch len(run) {
@@ -445,27 +477,24 @@ func (c *Consensus) Solve(inputs []Value, s Scheduler, seed uint64, run ...RunCo
 	if err != nil {
 		return nil, err
 	}
-	pr, err := harness.RunProtocol(in.proto, harness.ObjectConfig{
+	pr, err := in.sess.Run(harness.ObjectConfig{
 		N: c.n, File: in.file, Inputs: inputs, Backend: be, Scheduler: s, Seed: seed,
 		Traced: rc.Traced, CheapCollect: rc.CheapCollect, Registers: rc.Registers,
 		CrashAfter: rc.CrashAfter, Faults: rc.Faults,
 		MaxSteps: rc.MaxSteps, Context: rc.Context,
 	})
+	var out *Outcome
+	if err == nil {
+		// Copy out before release: once the instance is back in the pool,
+		// another call may overwrite the session's buffers.
+		out = newOutcome(pr)
+		err = Verify(inputs, out)
+	}
 	c.release(in)
-	if err != nil {
+	if out == nil {
 		return nil, err
 	}
-
-	out := newOutcome(pr)
-	decided := pr.DecidedOutputs()
-	full := inputs
-	if len(full) == 1 {
-		full = make([]Value, c.n)
-		for i := range full {
-			full[i] = inputs[0]
-		}
-	}
-	if err := check.Consensus(full, decided); err != nil {
+	if err != nil {
 		if out.Violation == nil {
 			out.Violation = err
 		}
@@ -602,13 +631,9 @@ func (c *Consensus) Sweep(trials int, newSched func() Scheduler, inputs func(t T
 }
 
 // Verify re-checks an outcome against inputs (exported so examples and
-// external harnesses can assert safety themselves).
+// external harnesses can assert safety themselves): the decided outputs
+// must agree, and the agreed value must be one of inputs. It walks the
+// outcome in place and allocates nothing unless it fails.
 func Verify(inputs []Value, o *Outcome) error {
-	var decided []value.Value
-	for pid, d := range o.Decided {
-		if d {
-			decided = append(decided, o.Outputs[pid])
-		}
-	}
-	return check.Consensus(inputs, decided)
+	return check.DecidedConsensus(inputs, o.Outputs, o.Decided)
 }

@@ -109,12 +109,50 @@ func Validity(inputs, outputs []value.Value) error {
 }
 
 // Consensus verifies agreement and validity together for the halted
-// processes of an execution.
+// processes of an execution: the verdict and message of Agreement, then of
+// Validity. It allocates nothing unless it fails: once the outputs agree,
+// validity reduces to one linear scan of inputs for the agreed value.
 func Consensus(inputs, haltedOutputs []value.Value) error {
-	if err := Agreement(haltedOutputs); err != nil {
-		return err
+	return agreedValid(inputs, haltedOutputs, nil)
+}
+
+// DecidedConsensus is Consensus over the outputs of the processes with
+// decided[pid] set, walked in place: the same verdict and message as
+// Consensus on the compacted slice of those outputs, without building it.
+func DecidedConsensus(inputs, outputs []value.Value, decided []bool) error {
+	return agreedValid(inputs, outputs, decided)
+}
+
+// agreedValid checks outputs[i] for every i with decided[i] set (every i
+// when decided is nil); k counts the outputs checked so far, so messages
+// index the compacted sequence exactly as Agreement and Validity do.
+func agreedValid(inputs, outputs []value.Value, decided []bool) error {
+	n := len(outputs)
+	if decided != nil {
+		n = len(decided)
 	}
-	return Validity(inputs, haltedOutputs)
+	k := 0
+	var first value.Value
+	for i := range n {
+		if decided != nil && !decided[i] {
+			continue
+		}
+		if v := outputs[i]; k == 0 {
+			first = v
+		} else if v != first {
+			return fmt.Errorf("check: agreement violated: output[%d]=%s but output[0]=%s", k, v, first)
+		}
+		k++
+	}
+	if k == 0 {
+		return nil
+	}
+	for _, v := range inputs {
+		if v == first {
+			return nil
+		}
+	}
+	return fmt.Errorf("check: validity violated: output[0]=%s is nobody's input %v", first, inputs)
 }
 
 // objectRecord collects one object's observed interface from a trace.

@@ -1,11 +1,13 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
+	"github.com/modular-consensus/modcon/internal/xrand"
 )
 
 func vals(xs ...int64) []value.Value {
@@ -250,5 +252,81 @@ func TestMonitorReset(t *testing.T) {
 	m.Reset(vals(2, 3))
 	if err := m.Observe(0, 1); err == nil || !strings.Contains(err.Error(), "validity") {
 		t.Fatalf("err = %v, want a validity violation: 1 is not among the reset inputs", err)
+	}
+}
+
+// consensusReference is the map-based Consensus this package shipped before
+// the linear scan: Agreement, then a Validity that builds an input set.
+func consensusReference(inputs, outputs []value.Value) error {
+	if err := Agreement(outputs); err != nil {
+		return err
+	}
+	in := make(map[value.Value]bool, len(inputs))
+	for _, v := range inputs {
+		in[v] = true
+	}
+	for i, v := range outputs {
+		if !in[v] {
+			return fmt.Errorf("check: validity violated: output[%d]=%s is nobody's input %v", i, v, inputs)
+		}
+	}
+	return nil
+}
+
+// TestConsensusMatchesReference pins Consensus and DecidedConsensus to the
+// reference's verdicts and messages on random executions: empty and
+// single-process runs, ⊥ and out-of-range values on either side, and
+// random decided masks (DecidedConsensus must behave as Consensus on the
+// compacted decided outputs).
+func TestConsensusMatchesReference(t *testing.T) {
+	src := xrand.New(7)
+	pick := func() value.Value {
+		if src.Intn(8) == 0 {
+			return value.None
+		}
+		return value.Value(src.Intn(5) - 1) // -1 and 3 are out of range for m = 3
+	}
+	errString := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for trial := range 20000 {
+		n := src.Intn(6) // includes n = 0 and n = 1
+		inputs, outputs, decided := make([]value.Value, n), make([]value.Value, n), make([]bool, n)
+		agreed := pick()
+		var compact []value.Value
+		for i := range n {
+			inputs[i] = pick()
+			outputs[i] = agreed
+			if src.Intn(4) == 0 {
+				outputs[i] = pick()
+			}
+			decided[i] = src.Intn(3) != 0
+			if decided[i] {
+				compact = append(compact, outputs[i])
+			}
+		}
+		if got, want := errString(Consensus(inputs, outputs)), errString(consensusReference(inputs, outputs)); got != want {
+			t.Fatalf("trial %d: Consensus(%v, %v) = %s, reference %s", trial, inputs, outputs, got, want)
+		}
+		if got, want := errString(DecidedConsensus(inputs, outputs, decided)), errString(consensusReference(inputs, compact)); got != want {
+			t.Fatalf("trial %d: DecidedConsensus(%v, %v, %v) = %s, reference %s", trial, inputs, outputs, decided, got, want)
+		}
+	}
+}
+
+// TestConsensusAllocFree pins the safe-path checks at zero allocations.
+func TestConsensusAllocFree(t *testing.T) {
+	inputs, outputs := vals(0, 1, 1, 0, 2), vals(1, 1, 1, 1, 1)
+	decided := []bool{true, false, true, true, false}
+	allocs := testing.AllocsPerRun(100, func() {
+		if Consensus(inputs, outputs) != nil || DecidedConsensus(inputs, outputs, decided) != nil {
+			t.Fatal("safe execution reported unsafe")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Consensus + DecidedConsensus: %v allocations per run, want 0", allocs)
 	}
 }

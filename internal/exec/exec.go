@@ -278,6 +278,13 @@ func (s *oneShotSession) Run(ctx context.Context, seed uint64) (*Result, error) 
 	return s.backend.Run(cfg, s.programs...)
 }
 
+// SetScheduler replaces the adversary the next Run uses, so one session can
+// serve calls that each bring their own (see harness.ProtocolSession).
+func (s *oneShotSession) SetScheduler(sc sched.Scheduler) error {
+	s.cfg.Scheduler = sc
+	return nil
+}
+
 // Close implements Session.
 func (s *oneShotSession) Close() error {
 	s.closed = true

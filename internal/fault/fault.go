@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,6 +243,15 @@ func Merge(a, b *Plan) *Plan {
 
 // Empty reports whether the plan (possibly nil) contains no faults.
 func (p *Plan) Empty() bool { return p == nil || len(p.Faults) == 0 }
+
+// Equal reports whether p and q hold the same faults in the same order
+// (nil and empty plans are equal).
+func (p *Plan) Equal(q *Plan) bool {
+	if p.Empty() || q.Empty() {
+		return p.Empty() && q.Empty()
+	}
+	return slices.Equal(p.Faults, q.Faults)
+}
 
 // HasStall reports whether the plan contains any stall fault. Stalled
 // executions never complete on their own, so backends require a context

@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
@@ -151,35 +150,18 @@ func (cfg *ObjectConfig) inputs() ([]value.Value, error) {
 }
 
 // RunObject executes obj once: every process invokes it with its input.
-// Per-process slots of run.Decisions are written only by their own process,
-// so the recording is race-free even on concurrent backends.
+// It is a session built, run once and closed (see newObjectSession), so a
+// one-off run and a pooled sweep trial assemble an execution the same way;
+// closing the session leaves the returned run caller-owned. Per-process
+// slots of run.Decisions are written only by their own process, so the
+// recording is race-free even on concurrent backends.
 func RunObject(obj core.Object, cfg ObjectConfig) (*ObjectRun, error) {
-	be, err := cfg.backend()
+	os, err := newObjectSession(obj, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := cfg.inputs()
-	if err != nil {
-		return nil, err
-	}
-	run := &ObjectRun{Decisions: make([]value.Decision, cfg.N)}
-	for i := range run.Decisions {
-		run.Decisions[i] = value.Decision{V: value.None}
-	}
-	if cfg.Traced {
-		run.Trace = trace.New()
-	}
-	prog := func(e core.Env) value.Value {
-		v := inputs[e.PID()]
-		e.MarkInvoke(obj.Label(), v)
-		d := obj.Invoke(e, v)
-		e.MarkReturn(obj.Label(), d)
-		run.Decisions[e.PID()] = d
-		return d.V
-	}
-	res, err := be.Run(cfg.execConfig(run.Trace), prog)
-	run.Result = res
-	return run, err
+	defer os.close(false)
+	return os.runTrial(cfg.Context, Trial{Seed: cfg.Seed})
 }
 
 // SweepCost implements Metered: total work and max individual work.
@@ -263,48 +245,17 @@ func (r *ProtocolRun) DecidedOutputs() []value.Value {
 	return out
 }
 
-// RunProtocol executes a consensus protocol built by core.NewProtocol.
-// Decisions are recorded through core.Protocol.RunIndexed into the run's own
-// buffers, never into the protocol, so one instance can serve many runs
-// (rewound between them) with per-run stages read from
-// ProtocolRun.DecidedStage.
+// RunProtocol executes a consensus protocol built by core.NewProtocol. It
+// is a ProtocolSession run once and closed, so it assembles the execution
+// exactly as a warm session replays it; closing the session leaves the
+// returned run caller-owned. Decisions are recorded through
+// core.Protocol.RunIndexed into the run's own buffers, never into the
+// protocol, so one instance can serve many runs (rewound between them) with
+// per-run stages read from ProtocolRun.DecidedStage.
 func RunProtocol(p *core.Protocol, cfg ObjectConfig) (*ProtocolRun, error) {
-	be, err := cfg.backend()
-	if err != nil {
-		return nil, err
-	}
-	inputs, err := cfg.inputs()
-	if err != nil {
-		return nil, err
-	}
-	run := &ProtocolRun{
-		Decided:    make([]bool, cfg.N),
-		DecidedIdx: make([]int32, cfg.N),
-		stageOf:    p.StageOfIndex,
-	}
-	for i := range run.DecidedIdx {
-		run.DecidedIdx[i] = -1
-	}
-	if cfg.Traced {
-		run.Trace = trace.New()
-	}
-	// The online monitor checks each decision the moment it lands (from
-	// concurrently running goroutines on the live backend), so a violation
-	// is caught even if the execution never finishes cleanly.
-	mon := check.NewMonitor(inputs)
-	prog := func(e core.Env) value.Value {
-		out, idx, ok := p.RunIndexed(e, inputs[e.PID()])
-		run.Decided[e.PID()] = ok
-		run.DecidedIdx[e.PID()] = int32(idx)
-		if ok {
-			mon.Observe(e.PID(), out)
-		}
-		return out
-	}
-	res, err := be.Run(cfg.execConfig(run.Trace), prog)
-	run.Result = res
-	run.Violation = mon.Err()
-	return run, err
+	s := NewProtocolSession(p)
+	defer s.Close()
+	return s.Run(cfg)
 }
 
 // SweepCost implements Metered: total work and max individual work.

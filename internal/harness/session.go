@@ -38,6 +38,10 @@ import (
 	"github.com/modular-consensus/modcon/internal/check"
 	"github.com/modular-consensus/modcon/internal/core"
 	"github.com/modular-consensus/modcon/internal/exec"
+	"github.com/modular-consensus/modcon/internal/fault"
+	"github.com/modular-consensus/modcon/internal/obs"
+	"github.com/modular-consensus/modcon/internal/register"
+	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
@@ -287,9 +291,9 @@ type objectSession struct {
 	run  ObjectRun // Decisions and Trace are session-owned; rewritten per trial
 }
 
-func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
-	obj, cfg := spec.Build()
-	cfg.Meter = s.Meter
+// newObjectSession builds a session for obj under cfg; hook, if non-nil,
+// overrides cfg.Inputs per trial.
+func newObjectSession(obj core.Object, cfg ObjectConfig, hook func(t Trial) []value.Value) (*objectSession, error) {
 	be, err := cfg.backend()
 	if err != nil {
 		return nil, err
@@ -299,7 +303,7 @@ func newObjectSession(s Sweep, spec ObjectSweep) (*objectSession, error) {
 		return nil, err
 	}
 	os := &objectSession{
-		in:  sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		in:  sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
 		run: ObjectRun{Decisions: make([]value.Decision, cfg.N)},
 	}
 	if cfg.Traced {
@@ -336,9 +340,10 @@ func (os *objectSession) runTrial(ctx context.Context, t Trial) (*ObjectRun, err
 
 func (os *objectSession) close(bool) { _ = os.sess.Close() }
 
-// protocolSession is one pooled cell of a protocol sweep. Decisions are
-// recorded through core.Protocol.RunIndexed into the session's run, never
-// into the protocol, whose own state lives entirely in its registers.
+// protocolSession is one pooled cell of a protocol sweep, and the engine
+// behind every ProtocolSession. Decisions are recorded through
+// core.Protocol.RunIndexed into the session's run, never into the
+// protocol, whose own state lives entirely in its registers.
 type protocolSession struct {
 	sess    exec.Session
 	in      sessionInputs
@@ -348,9 +353,10 @@ type protocolSession struct {
 	release func(*core.Protocol)
 }
 
-func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
-	proto, cfg := spec.Build()
-	cfg.Meter = s.Meter
+// newProtocolSession builds a session for proto under cfg; hook, if
+// non-nil, overrides cfg.Inputs per trial, and release, if non-nil,
+// receives proto when the session is closed cleanly.
+func newProtocolSession(proto *core.Protocol, cfg ObjectConfig, hook func(t Trial) []value.Value, release func(*core.Protocol)) (*protocolSession, error) {
 	be, err := cfg.backend()
 	if err != nil {
 		return nil, err
@@ -360,18 +366,21 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 		return nil, err
 	}
 	ps := &protocolSession{
-		in: sessionInputs{n: cfg.N, base: base, hook: spec.Inputs, live: make([]value.Value, cfg.N)},
+		in: sessionInputs{n: cfg.N, base: base, hook: hook, live: make([]value.Value, cfg.N)},
 		run: ProtocolRun{
 			Decided:    make([]bool, cfg.N),
 			DecidedIdx: make([]int32, cfg.N),
 			stageOf:    proto.StageOfIndex,
 		},
 		proto:   proto,
-		release: spec.Release,
+		release: release,
 	}
 	if cfg.Traced {
 		ps.run.Trace = trace.New()
 	}
+	// The online monitor checks each decision the moment it lands (from
+	// concurrently running goroutines on the live backend), so a violation
+	// is caught even if the execution never finishes cleanly.
 	prog := func(e core.Env) value.Value {
 		out, idx, ok := proto.RunIndexed(e, ps.in.live[e.PID()])
 		ps.run.Decided[e.PID()] = ok
@@ -386,6 +395,13 @@ func newProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
 		return nil, err
 	}
 	return ps, nil
+}
+
+// buildProtocolSession builds one pooled session of a protocol sweep.
+func buildProtocolSession(s Sweep, spec ProtocolSweep) (*protocolSession, error) {
+	proto, cfg := spec.Build()
+	cfg.Meter = s.Meter
+	return newProtocolSession(proto, cfg, spec.Inputs, spec.Release)
 }
 
 // runTrial executes one trial into the session's run and returns it; the
@@ -412,5 +428,116 @@ func (ps *protocolSession) close(clean bool) {
 	_ = ps.sess.Close()
 	if clean && ps.release != nil {
 		ps.release(ps.proto)
+	}
+}
+
+// ProtocolSession runs one protocol instance many times over a warm backend
+// session: on sim, the engine with its n parked coroutines, the per-process
+// input and decision buffers, and the online monitor are built by the first
+// Run and reused by every later one, so a warm Run allocates nothing below
+// the caller. Each Run brings its own adversary, seed, inputs and context;
+// the rest of its configuration — backend, process count, register file,
+// register model, cheap collect, step limit, tracing, meter and fault plan —
+// shapes the session, and a Run whose shape differs from the session's
+// rebuilds it. RunProtocol is a ProtocolSession used once.
+//
+// The run a Run returns is session-owned: the next Run overwrites it.
+// A ProtocolSession is not safe for concurrent use, and the backend session
+// behind it holds no reference to it, so an owner that drops it can close
+// it from a finalizer.
+type ProtocolSession struct {
+	proto *core.Protocol
+	ps    *protocolSession // nil until the first Run, and after Close
+	shape sessionShape
+	// image is the register file's contents before the first run on it: a
+	// rebuild restores it, since a backend session snapshots the file as
+	// it finds it and runs leave it dirty.
+	image []value.Value
+}
+
+// rebindable is a backend session whose adversary can be replaced between
+// runs: the sim session and exec's one-shot fallback, the sessions every
+// backend's NewSession returns.
+type rebindable interface {
+	SetScheduler(s sched.Scheduler) error
+}
+
+// sessionShape is the part of an ObjectConfig a backend session is built
+// for; Run compares it to decide between replaying and rebuilding.
+type sessionShape struct {
+	backend      exec.Backend
+	n            int
+	file         *register.File
+	traced       bool
+	cheapCollect bool
+	registers    register.Semantics
+	maxSteps     int
+	meter        *obs.Meter
+	faults       *fault.Plan // merged with CrashAfter; owned by the shape
+}
+
+func (a *sessionShape) equal(b *sessionShape) bool {
+	return a.backend == b.backend && a.n == b.n && a.file == b.file &&
+		a.traced == b.traced && a.cheapCollect == b.cheapCollect &&
+		a.registers == b.registers && a.maxSteps == b.maxSteps &&
+		a.meter == b.meter && a.faults.Equal(b.faults)
+}
+
+// NewProtocolSession returns a session for p; nothing is built until the
+// first Run.
+func NewProtocolSession(p *core.Protocol) *ProtocolSession {
+	return &ProtocolSession{proto: p}
+}
+
+// Run executes the protocol once under cfg and returns the session-owned
+// run, rebuilding the backend session first when cfg's shape differs from
+// the one it was built for. A session the backend reports poisoned is
+// closed, so the next Run rebuilds it.
+func (s *ProtocolSession) Run(cfg ObjectConfig) (*ProtocolRun, error) {
+	be, err := cfg.backend()
+	if err != nil {
+		return nil, err
+	}
+	shape := sessionShape{
+		backend: be, n: cfg.N, file: cfg.File, traced: cfg.Traced,
+		cheapCollect: cfg.CheapCollect, registers: cfg.Registers,
+		maxSteps: cfg.MaxSteps, meter: cfg.Meter,
+		faults: fault.Merge(cfg.Faults, fault.FromCrashMap(cfg.CrashAfter)),
+	}
+	if s.ps != nil && s.shape.equal(&shape) {
+		if err := s.ps.sess.(rebindable).SetScheduler(cfg.Scheduler); err != nil {
+			return nil, err
+		}
+		s.ps.in.base = cfg.Inputs
+	} else {
+		s.Close()
+		switch {
+		case cfg.File == nil: // the backend reports it
+		case s.image == nil || s.shape.file != cfg.File:
+			s.image = cfg.File.Contents()
+		default:
+			if err := cfg.File.Restore(s.image); err != nil {
+				return nil, fmt.Errorf("harness: %w", err)
+			}
+		}
+		cfg.Backend, cfg.Faults, cfg.CrashAfter = be, shape.faults, nil
+		if s.ps, err = newProtocolSession(s.proto, cfg, nil, nil); err != nil {
+			return nil, err
+		}
+		s.shape = shape
+	}
+	run, err := s.ps.runTrial(cfg.Context, Trial{Seed: cfg.Seed})
+	if errors.Is(err, exec.ErrSessionPoisoned) {
+		s.Close()
+	}
+	return run, err
+}
+
+// Close releases the backend session (coroutines, buffers). The
+// ProtocolSession stays usable: the next Run rebuilds.
+func (s *ProtocolSession) Close() {
+	if s.ps != nil {
+		s.ps.close(false)
+		s.ps = nil
 	}
 }

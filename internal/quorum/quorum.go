@@ -38,16 +38,71 @@ type Scheme interface {
 	M() int
 	// PoolSize returns the number of binary registers the scheme needs.
 	PoolSize() int
-	// WriteQuorum returns the pool indices of W_v, ascending. The slice may
-	// be shared with other callers (Binary returns sub-slices of one
-	// package-level table), so callers must not modify it.
-	WriteQuorum(v value.Value) []int
-	// ReadQuorum returns the pool indices of R_v, ascending, under the
-	// same read-only contract as WriteQuorum.
-	ReadQuorum(v value.Value) []int
+	// WriteQuorum returns the pool indices of W_v.
+	WriteQuorum(v value.Value) Set
+	// ReadQuorum returns the pool indices of R_v.
+	ReadQuorum(v value.Value) Set
 	// Name identifies the scheme in reports.
 	Name() string
 }
+
+// Set is a set of pool indices below 128, held as a bit mask. Quorums are
+// Sets so that computing one allocates nothing, even through the Scheme
+// interface, and takes memory independent of m; Pop and Indices visit the
+// indices in ascending order, the order in which the ratifier touches its
+// registers. Every scheme here fits: the pool scheme's sizes stay within
+// Binomial's range (at most 61 registers), and the bit-vector scheme needs
+// at most 2·63 for any int m.
+type Set [2]uint64
+
+// Add inserts index i (0 ≤ i < 128).
+func (s *Set) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// Len returns the number of indices in s.
+func (s Set) Len() int { return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) }
+
+// Intersects reports whether s and t share an index.
+func (s Set) Intersects(t Set) bool { return s[0]&t[0] != 0 || s[1]&t[1] != 0 }
+
+// Pop removes and returns the smallest index in s, or -1 if s is empty.
+func (s *Set) Pop() int {
+	for w := range s {
+		if s[w] != 0 {
+			i := bits.TrailingZeros64(s[w])
+			s[w] &= s[w] - 1
+			return 64*w + i
+		}
+	}
+	return -1
+}
+
+// Indices returns the indices of s in ascending order, in a fresh slice.
+func (s Set) Indices() []int {
+	out := make([]int, 0, s.Len())
+	for i := s.Pop(); i >= 0; i = s.Pop() {
+		out = append(out, i)
+	}
+	return out
+}
+
+// String formats s like its Indices slice, e.g. "[0 2 5]".
+func (s Set) String() string { return fmt.Sprint(s.Indices()) }
+
+// below returns the set {0, …, k-1}.
+func below(k int) Set {
+	var s Set
+	for w := range s {
+		if n := k - 64*w; n >= 64 {
+			s[w] = ^uint64(0)
+		} else if n > 0 {
+			s[w] = 1<<n - 1
+		}
+	}
+	return s
+}
+
+// without returns the indices of s not in t.
+func (s Set) without(t Set) Set { return Set{s[0] &^ t[0], s[1] &^ t[1]} }
 
 // Binomial returns C(n, k). It panics if the result would overflow uint64,
 // which cannot happen for the pool sizes this module uses (n ≤ 64 with
@@ -96,29 +151,20 @@ func checkValue(v value.Value, s Scheme) int {
 // Binary is the 2-value scheme: W_0={0}, R_0={1}, W_1={1}, R_1={0}.
 type Binary struct{}
 
-// binaryPool backs every Binary quorum: W_v is binaryPool[v:v+1] and R_v is
-// binaryPool[1-v:2-v], capped so an append by a careless caller copies
-// instead of writing into the shared table.
-var binaryPool = [2]int{0, 1}
-
 // M implements Scheme.
 func (Binary) M() int { return 2 }
 
 // PoolSize implements Scheme.
 func (Binary) PoolSize() int { return 2 }
 
-// WriteQuorum implements Scheme. It returns a read-only sub-slice of a
-// package-level table; it does not allocate.
-func (b Binary) WriteQuorum(v value.Value) []int {
-	x := checkValue(v, b)
-	return binaryPool[x : x+1 : x+1]
+// WriteQuorum implements Scheme: {v}.
+func (b Binary) WriteQuorum(v value.Value) Set {
+	return Set{1 << checkValue(v, b)}
 }
 
-// ReadQuorum implements Scheme, returning a read-only sub-slice like
-// WriteQuorum.
-func (b Binary) ReadQuorum(v value.Value) []int {
-	x := 1 - checkValue(v, b)
-	return binaryPool[x : x+1 : x+1]
+// ReadQuorum implements Scheme: {1-v}.
+func (b Binary) ReadQuorum(v value.Value) Set {
+	return Set{1 << (1 - checkValue(v, b))}
 }
 
 // Name implements Scheme.
@@ -145,35 +191,30 @@ func (p *Pool) M() int { return p.m }
 func (p *Pool) PoolSize() int { return p.k }
 
 // WriteQuorum implements Scheme. It unranks v in the combinatorial number
-// system: the colex rank of {c_1 < c_2 < … < c_t} is Σ C(c_i, i).
-func (p *Pool) WriteQuorum(v value.Value) []int {
+// system: the colex rank of {c_1 < c_2 < … < c_t} is Σ C(c_i, i), so c_i
+// is the largest c with C(c, i) ≤ what is left of the rank. The scan for
+// each c_i steps C(c, i) up incrementally, one multiply and one exact
+// divide per step.
+func (p *Pool) WriteQuorum(v value.Value) Set {
 	rank := uint64(checkValue(v, p))
-	out := make([]int, p.t)
+	var s Set
 	for i := p.t; i >= 1; i-- {
-		// Largest c with C(c, i) ≤ rank.
-		c := i - 1 // C(i-1, i) = 0 ≤ rank always
-		for Binomial(c+1, i) <= rank {
-			c++
+		// cur = C(c, i), next = C(c+1, i), from c = i-1: C(i-1, i) = 0 ≤ rank.
+		c, cur, next := i-1, uint64(0), uint64(1)
+		for next <= rank {
+			c, cur = c+1, next
+			hi, lo := bits.Mul64(next, uint64(c+1))
+			next, _ = bits.Div64(hi, lo, uint64(c+1-i))
 		}
-		out[i-1] = c
-		rank -= Binomial(c, i)
+		s.Add(c)
+		rank -= cur
 	}
-	return out
+	return s
 }
 
 // ReadQuorum implements Scheme: the complement of the write quorum.
-func (p *Pool) ReadQuorum(v value.Value) []int {
-	w := p.WriteQuorum(v)
-	out := make([]int, 0, p.k-p.t)
-	wi := 0
-	for r := 0; r < p.k; r++ {
-		if wi < len(w) && w[wi] == r {
-			wi++
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+func (p *Pool) ReadQuorum(v value.Value) Set {
+	return below(p.k).without(p.WriteQuorum(v))
 }
 
 // Name implements Scheme.
@@ -200,42 +241,36 @@ func (s *BitVector) M() int { return s.m }
 // PoolSize implements Scheme.
 func (s *BitVector) PoolSize() int { return 2 * s.bitsN }
 
-// WriteQuorum implements Scheme.
-func (s *BitVector) WriteQuorum(v value.Value) []int {
+// WriteQuorum implements Scheme: register 2i + (bit i of v) for each i.
+func (s *BitVector) WriteQuorum(v value.Value) Set {
 	x := checkValue(v, s)
-	out := make([]int, s.bitsN)
+	var w Set
 	for i := 0; i < s.bitsN; i++ {
-		out[i] = 2*i + (x>>i)&1
+		w.Add(2*i + (x>>i)&1)
 	}
-	return out
+	return w
 }
 
-// ReadQuorum implements Scheme.
-func (s *BitVector) ReadQuorum(v value.Value) []int {
-	x := checkValue(v, s)
-	out := make([]int, s.bitsN)
-	for i := 0; i < s.bitsN; i++ {
-		out[i] = 2*i + 1 - (x>>i)&1
-	}
-	return out
+// ReadQuorum implements Scheme: the complement of the write quorum.
+func (s *BitVector) ReadQuorum(v value.Value) Set {
+	return below(2 * s.bitsN).without(s.WriteQuorum(v))
 }
 
 // Name implements Scheme.
 func (s *BitVector) Name() string { return fmt.Sprintf("bitvector(b=%d)", s.bitsN) }
 
 // Verify checks the Theorem 8 condition W_v ∩ R_u = ∅ ⇔ v = u for every
-// pair of values, plus basic sanity (indices in range, ascending, no
-// duplicates). Cost O(m²·q); call it in tests and at tool startup, not in
+// pair of values, plus basic sanity (indices inside the pool). Cost O(m²·q); call it in tests and at tool startup, not in
 // protocols. For very large m use VerifySample.
 func Verify(s Scheme) error {
 	m := s.M()
-	writeBits, err := checkAndIndex(s)
+	writes, err := checkAndIndex(s)
 	if err != nil {
 		return err
 	}
 	for v := 0; v < m; v++ {
 		for u := 0; u < m; u++ {
-			if err := checkPair(s, writeBits[v], v, u); err != nil {
+			if err := checkPair(s, writes[v], v, u); err != nil {
 				return err
 			}
 		}
@@ -249,63 +284,46 @@ func Verify(s Scheme) error {
 // results reproducible.
 func VerifySample(s Scheme, pairs int, seed uint64) error {
 	m := s.M()
-	writeBits, err := checkAndIndex(s)
+	writes, err := checkAndIndex(s)
 	if err != nil {
 		return err
 	}
 	for v := 0; v < m; v++ {
-		if err := checkPair(s, writeBits[v], v, v); err != nil {
+		if err := checkPair(s, writes[v], v, v); err != nil {
 			return err
 		}
 	}
 	src := xrand.New(seed)
 	for i := 0; i < pairs; i++ {
 		v, u := src.Intn(m), src.Intn(m)
-		if err := checkPair(s, writeBits[v], v, u); err != nil {
+		if err := checkPair(s, writes[v], v, u); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkAndIndex validates quorum shapes and returns per-value write-quorum
-// membership bitmaps.
-func checkAndIndex(s Scheme) ([][]bool, error) {
+// checkAndIndex validates quorum shapes and returns the per-value write
+// quorums.
+func checkAndIndex(s Scheme) ([]Set, error) {
 	m := s.M()
-	writeBits := make([][]bool, m)
+	pool := below(s.PoolSize())
+	writes := make([]Set, m)
 	for v := 0; v < m; v++ {
 		w := s.WriteQuorum(value.Value(v))
-		r := s.ReadQuorum(value.Value(v))
-		for _, q := range [][]int{w, r} {
-			prev := -1
-			for _, i := range q {
-				if i <= prev {
-					return nil, fmt.Errorf("quorum %s: value %d has non-ascending quorum %v", s.Name(), v, q)
-				}
-				if i < 0 || i >= s.PoolSize() {
-					return nil, fmt.Errorf("quorum %s: value %d index %d out of pool [0,%d)", s.Name(), v, i, s.PoolSize())
-				}
-				prev = i
+		for _, q := range []Set{w, s.ReadQuorum(value.Value(v))} {
+			if out := q.without(pool); out != (Set{}) {
+				return nil, fmt.Errorf("quorum %s: value %d index %d out of pool [0,%d)", s.Name(), v, out.Pop(), s.PoolSize())
 			}
 		}
-		bits := make([]bool, s.PoolSize())
-		for _, i := range w {
-			bits[i] = true
-		}
-		writeBits[v] = bits
+		writes[v] = w
 	}
-	return writeBits, nil
+	return writes, nil
 }
 
 // checkPair verifies W_v ∩ R_u = ∅ ⇔ v = u for one pair.
-func checkPair(s Scheme, wv []bool, v, u int) error {
-	meet := false
-	for _, i := range s.ReadQuorum(value.Value(u)) {
-		if wv[i] {
-			meet = true
-			break
-		}
-	}
+func checkPair(s Scheme, wv Set, v, u int) error {
+	meet := wv.Intersects(s.ReadQuorum(value.Value(u)))
 	if (v == u) == meet {
 		rel := "misses"
 		if meet {
@@ -323,8 +341,8 @@ func checkPair(s Scheme, wv []bool, v, u int) error {
 func BollobasSum(s Scheme) float64 {
 	sum := 0.0
 	for v := 0; v < s.M(); v++ {
-		a := len(s.WriteQuorum(value.Value(v)))
-		b := len(s.ReadQuorum(value.Value(v)))
+		a := s.WriteQuorum(value.Value(v)).Len()
+		b := s.ReadQuorum(value.Value(v)).Len()
 		sum += 1 / float64(Binomial(a+b, a))
 	}
 	return sum

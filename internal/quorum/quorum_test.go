@@ -2,6 +2,7 @@ package quorum
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -86,7 +87,7 @@ func TestPoolQuorumsAreDistinctSubsets(t *testing.T) {
 	p := NewPool(20) // k=6, C(6,3)=20
 	seen := make(map[string]bool)
 	for v := 0; v < p.M(); v++ {
-		w := p.WriteQuorum(value.Value(v))
+		w := p.WriteQuorum(value.Value(v)).Indices()
 		if len(w) != p.PoolSize()/2 {
 			t.Fatalf("value %d: |W| = %d, want %d", v, len(w), p.PoolSize()/2)
 		}
@@ -104,8 +105,8 @@ func TestPoolQuorumsAreDistinctSubsets(t *testing.T) {
 func TestPoolReadIsComplement(t *testing.T) {
 	p := NewPool(35) // k=7, t=3, C(7,3)=35
 	for v := 0; v < p.M(); v++ {
-		w := p.WriteQuorum(value.Value(v))
-		r := p.ReadQuorum(value.Value(v))
+		w := p.WriteQuorum(value.Value(v)).Indices()
+		r := p.ReadQuorum(value.Value(v)).Indices()
 		if len(w)+len(r) != p.PoolSize() {
 			t.Fatalf("value %d: |W|+|R| = %d+%d != k=%d", v, len(w), len(r), p.PoolSize())
 		}
@@ -126,7 +127,7 @@ func TestPoolColexOrderProperty(t *testing.T) {
 	p := NewPool(70) // k=8, t=4, C(8,4)=70
 	prev := []int(nil)
 	for v := 0; v < p.M(); v++ {
-		w := p.WriteQuorum(value.Value(v))
+		w := p.WriteQuorum(value.Value(v)).Indices()
 		if prev != nil && !colexLess(prev, w) {
 			t.Fatalf("colex order violated between %v and %v", prev, w)
 		}
@@ -149,14 +150,14 @@ func TestBitVectorShape(t *testing.T) {
 		t.Fatalf("PoolSize = %d, want 6", s.PoolSize())
 	}
 	// Value 5 = 101b: bits (1,0,1) -> registers {2*0+1, 2*1+0, 2*2+1}.
-	w := s.WriteQuorum(4) // 100b -> {0, 2, 5}
+	w := s.WriteQuorum(4).Indices() // 100b -> {0, 2, 5}
 	want := []int{0, 2, 5}
 	for i := range want {
 		if w[i] != want[i] {
 			t.Fatalf("WriteQuorum(4) = %v, want %v", w, want)
 		}
 	}
-	r := s.ReadQuorum(4) // complement positions {1, 3, 4}
+	r := s.ReadQuorum(4).Indices() // complement positions {1, 3, 4}
 	wantR := []int{1, 3, 4}
 	for i := range wantR {
 		if r[i] != wantR[i] {
@@ -200,25 +201,108 @@ func TestBinaryScheme(t *testing.T) {
 	if b.M() != 2 || b.PoolSize() != 2 {
 		t.Fatal("binary scheme shape wrong")
 	}
-	if w := b.WriteQuorum(0); len(w) != 1 || w[0] != 0 {
+	if w := b.WriteQuorum(0).Indices(); len(w) != 1 || w[0] != 0 {
 		t.Fatalf("W_0 = %v", w)
 	}
-	if r := b.ReadQuorum(0); len(r) != 1 || r[0] != 1 {
+	if r := b.ReadQuorum(0).Indices(); len(r) != 1 || r[0] != 1 {
 		t.Fatalf("R_0 = %v", r)
 	}
 	if err := Verify(b); err != nil {
 		t.Fatal(err)
 	}
-	// The quorums are capped sub-slices of a shared table: an append copies
-	// rather than overwriting W_1, and fetching them does not allocate.
-	if w := append(b.WriteQuorum(0), 7); b.WriteQuorum(1)[0] != 1 || w[1] != 7 {
-		t.Fatalf("append to W_0 wrote into the shared table: W_1 = %v", b.WriteQuorum(1))
+}
+
+// TestQuorumsAllocFree pins every scheme's quorums at zero allocations,
+// called through the Scheme interface as the ratifier calls them.
+func TestQuorumsAllocFree(t *testing.T) {
+	for _, s := range []Scheme{Binary{}, NewPool(4096), NewBitVector(4096)} {
+		var sink Set
+		if allocs := testing.AllocsPerRun(100, func() {
+			sink = s.WriteQuorum(1)
+			sink = s.ReadQuorum(1)
+		}); allocs != 0 {
+			t.Errorf("%s quorums: %v allocations per call pair, want 0", s.Name(), allocs)
+		}
+		_ = sink
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		_ = b.WriteQuorum(1)
-		_ = b.ReadQuorum(1)
-	}); allocs != 0 {
-		t.Errorf("binary quorums: %v allocations per call pair, want 0", allocs)
+}
+
+// unrankReference is the textbook colex unranking with a Binomial call per
+// probe, kept as the reference for Pool's incremental scan.
+func unrankReference(rank uint64, t int) []int {
+	out := make([]int, t)
+	for i := t; i >= 1; i-- {
+		c := i - 1
+		for Binomial(c+1, i) <= rank {
+			c++
+		}
+		out[i-1] = c
+		rank -= Binomial(c, i)
+	}
+	return out
+}
+
+func TestPoolUnrankMatchesReference(t *testing.T) {
+	check := func(p *Pool, v uint64) {
+		t.Helper()
+		got, want := p.WriteQuorum(value.Value(v)).Indices(), unrankReference(v, p.PoolSize()/2)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: W_%d = %v, reference %v", p.Name(), v, got, want)
+		}
+		r := p.ReadQuorum(value.Value(v))
+		if r.Len() != p.PoolSize()-len(want) || r.Intersects(p.WriteQuorum(value.Value(v))) {
+			t.Fatalf("%s: R_%d = %v is not the complement of %v", p.Name(), v, r, want)
+		}
+	}
+	for _, m := range []int{2, 3, 20, 35, 4096, 184756} {
+		p := NewPool(m)
+		for v := 0; v < min(m, 5000); v++ {
+			check(p, uint64(v))
+		}
+		check(p, uint64(m-1))
+	}
+	// The largest pool Binomial's range allows, and a bit-vector pool that
+	// spans both words of a Set.
+	big := NewPool(int(Binomial(61, 30)))
+	if big.PoolSize() != 61 {
+		t.Fatalf("pool for m = C(61, 30) has %d registers, want 61", big.PoolSize())
+	}
+	for _, v := range []uint64{0, 1, 1 << 40, 1<<57 + 12345, Binomial(61, 30) - 1} {
+		check(big, v)
+	}
+	bv := NewBitVector(math.MaxInt64)
+	for _, v := range []value.Value{0, 1 << 62, math.MaxInt64 - 1} {
+		w, r := bv.WriteQuorum(v), bv.ReadQuorum(v)
+		if w.Len() != 63 || r.Len() != 63 || w.Intersects(r) || w.Indices()[62] != 124+int(v>>62)&1 {
+			t.Fatalf("%s: W_%d = %v, R = %v", bv.Name(), v, w, r)
+		}
+	}
+}
+
+func TestSetOps(t *testing.T) {
+	var s Set
+	for _, i := range []int{127, 0, 64, 63, 5} {
+		s.Add(i)
+	}
+	if got := s.Indices(); !slices.Equal(got, []int{0, 5, 63, 64, 127}) || s.Len() != 5 {
+		t.Fatalf("Indices = %v (Len %d), want [0 5 63 64 127]", got, s.Len())
+	}
+	if s.String() != "[0 5 63 64 127]" {
+		t.Fatalf("String = %q", s.String())
+	}
+	for _, k := range []int{0, 1, 63, 64, 65, 126, 128} {
+		if b := below(k); b.Len() != k || (k > 0 && b.Indices()[k-1] != k-1) {
+			t.Fatalf("below(%d) = %v", k, b)
+		}
+	}
+	if got := below(128).without(s).Len(); got != 123 {
+		t.Fatalf("complement has %d indices, want 123", got)
+	}
+	if !s.Intersects(Set{0, 1 << 63}) || s.Intersects(Set{1 << 1, 1 << 1}) {
+		t.Fatal("Intersects is wrong")
+	}
+	if i := (&Set{}).Pop(); i != -1 {
+		t.Fatalf("Pop on an empty set = %d, want -1", i)
 	}
 }
 
@@ -293,8 +377,8 @@ func TestVerifySample(t *testing.T) {
 // brokenScheme violates the diagonal condition: W_v ∩ R_v ≠ ∅.
 type brokenScheme struct{}
 
-func (brokenScheme) M() int                          { return 2 }
-func (brokenScheme) PoolSize() int                   { return 2 }
-func (brokenScheme) WriteQuorum(v value.Value) []int { return []int{0} }
-func (brokenScheme) ReadQuorum(v value.Value) []int  { return []int{0} }
-func (brokenScheme) Name() string                    { return "broken" }
+func (brokenScheme) M() int                        { return 2 }
+func (brokenScheme) PoolSize() int                 { return 2 }
+func (brokenScheme) WriteQuorum(v value.Value) Set { return Set{1} }
+func (brokenScheme) ReadQuorum(v value.Value) Set  { return Set{1} }
+func (brokenScheme) Name() string                  { return "broken" }

@@ -72,8 +72,9 @@ func NewBitVector(file *register.File, m, index int) *Quorum {
 
 // Invoke implements core.Object.
 func (r *Quorum) Invoke(e core.Env, v value.Value) value.Decision {
-	// Announce v.
-	for _, i := range r.scheme.WriteQuorum(v) {
+	// Announce v, in ascending register order.
+	w := r.scheme.WriteQuorum(v)
+	for i := w.Pop(); i >= 0; i = w.Pop() {
 		e.Write(r.pool.At(i), 1)
 	}
 	// Adopt or propose.
@@ -84,7 +85,8 @@ func (r *Quorum) Invoke(e core.Env, v value.Value) value.Decision {
 		e.Write(r.proposal, v)
 	}
 	// Look for conflicting announcements.
-	for _, i := range r.scheme.ReadQuorum(pref) {
+	rq := r.scheme.ReadQuorum(pref)
+	for i := rq.Pop(); i >= 0; i = rq.Pop() {
 		if e.Read(r.pool.At(i)) != 0 {
 			return value.Continue(pref)
 		}
@@ -96,7 +98,7 @@ func (r *Quorum) Invoke(e core.Env, v value.Value) value.Decision {
 // up to 1 write of the proposal, |R| reads.
 func (r *Quorum) MaxIndividualWork() int {
 	// All schemes here have |W_v| and |R_v| independent of v; measure at 0.
-	return len(r.scheme.WriteQuorum(0)) + len(r.scheme.ReadQuorum(0)) + 2
+	return r.scheme.WriteQuorum(0).Len() + r.scheme.ReadQuorum(0).Len() + 2
 }
 
 // Registers returns the total register count (pool + proposal).

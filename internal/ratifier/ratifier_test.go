@@ -1,6 +1,7 @@
 package ratifier
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/modular-consensus/modcon/internal/check"
@@ -314,26 +315,89 @@ func (e *fileEnv) PID() int                            { return 0 }
 func (e *fileEnv) Read(r register.Reg) value.Value     { return e.file.Load(r) }
 func (e *fileEnv) Write(r register.Reg, v value.Value) { e.file.Store(r, v) }
 
-// TestBinaryInvokeAllocFree pins the binary ratifier's hot path at zero
-// allocations: its quorums are sub-slices of a shared table, and the value
+// TestBinaryInvokeAllocFree pins the quorum ratifier's hot path at zero
+// allocations for every scheme: quorums are bit-mask values, so computing
+// one allocates nothing even through the Scheme interface, and the value
 // check formats the scheme name only when it panics.
 func TestBinaryInvokeAllocFree(t *testing.T) {
-	file := register.NewFile()
-	r := NewBinary(file, 1)
-	img := file.Contents()
-	env := &fileEnv{file: file}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := file.Restore(img); err != nil {
-			t.Fatal(err)
+	schemes := []struct {
+		name  string
+		build func(*register.File) *Quorum
+	}{
+		{"binary", func(f *register.File) *Quorum { return NewBinary(f, 1) }},
+		{"pool", func(f *register.File) *Quorum { return NewPool(f, 4096, 1) }},
+		{"bitvector", func(f *register.File) *Quorum { return NewBitVector(f, 4096, 1) }},
+	}
+	for _, sc := range schemes {
+		t.Run(sc.name, func(t *testing.T) {
+			file := register.NewFile()
+			r := sc.build(file)
+			img := file.Contents()
+			env := &fileEnv{file: file}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := file.Restore(img); err != nil {
+					t.Fatal(err)
+				}
+				if d := r.Invoke(env, 1); !d.Decided || d.V != 1 {
+					t.Fatalf("solo Invoke(1) = %s, want (1, 1)", d)
+				}
+				if d := r.Invoke(env, 0); d.Decided || d.V != 1 {
+					t.Fatalf("conflicting Invoke(0) = %s, want (0, 1)", d)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s Invoke: %v allocations per run, want 0", sc.name, allocs)
+			}
+		})
+	}
+}
+
+// orderEnv is a fileEnv that logs the registers a process touches.
+type orderEnv struct {
+	fileEnv
+	touched []register.Reg
+}
+
+func (e *orderEnv) Read(r register.Reg) value.Value {
+	e.touched = append(e.touched, r)
+	return e.fileEnv.Read(r)
+}
+
+func (e *orderEnv) Write(r register.Reg, v value.Value) {
+	e.touched = append(e.touched, r)
+	e.fileEnv.Write(r, v)
+}
+
+// TestQuorumInvokeOrder pins the order in which Invoke touches registers,
+// which fixes every trace: W_v's pool registers in ascending order, the
+// proposal, then R_pref's pool registers in ascending order.
+func TestQuorumInvokeOrder(t *testing.T) {
+	builds := []func(f *register.File, m int) *Quorum{
+		func(f *register.File, m int) *Quorum { return NewPool(f, m, 1) },
+		func(f *register.File, m int) *Quorum { return NewBitVector(f, m, 1) },
+	}
+	for _, m := range []int{16, 4096} {
+		for _, build := range builds {
+			for _, v := range []value.Value{0, 5, value.Value(m - 1)} {
+				file := register.NewFile()
+				r := build(file, m)
+				env := &orderEnv{fileEnv: fileEnv{file: file}}
+				if d := r.Invoke(env, v); !d.Decided || d.V != v {
+					t.Fatalf("%s: solo Invoke(%s) = %s", r.Scheme().Name(), v, d)
+				}
+				w := r.Scheme().WriteQuorum(v).Indices()
+				var want []register.Reg
+				for _, i := range w {
+					want = append(want, r.pool.At(i))
+				}
+				want = append(want, r.proposal, r.proposal)
+				for _, i := range r.Scheme().ReadQuorum(v).Indices() {
+					want = append(want, r.pool.At(i))
+				}
+				if !slices.Equal(env.touched, want) || !slices.IsSorted(w) {
+					t.Fatalf("%s: Invoke(%s) touched %v, want %v", r.Scheme().Name(), v, env.touched, want)
+				}
+			}
 		}
-		if d := r.Invoke(env, 1); !d.Decided || d.V != 1 {
-			t.Fatalf("solo Invoke(1) = %s, want (1, 1)", d)
-		}
-		if d := r.Invoke(env, 0); d.Decided || d.V != 1 {
-			t.Fatalf("conflicting Invoke(0) = %s, want (0, 1)", d)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("binary Invoke: %v allocations per run, want 0", allocs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/fault"
 	"github.com/modular-consensus/modcon/internal/register"
+	"github.com/modular-consensus/modcon/internal/sched"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -99,6 +100,11 @@ func (s *session) Run(ctx context.Context, seed uint64) (*exec.Result, error) {
 	}
 	return s.eng.Run(ctx)
 }
+
+// SetScheduler rebinds the session's adversary between runs (see
+// Engine.SetScheduler): the engine, its parked coroutines and the compiled
+// fault plan stay; only the adversary changes.
+func (s *session) SetScheduler(sc sched.Scheduler) error { return s.eng.SetScheduler(sc) }
 
 // Close implements exec.Session.
 func (s *session) Close() error { return s.eng.Close() }

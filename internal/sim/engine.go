@@ -20,12 +20,12 @@ import (
 // maxInt is the "never" crash threshold on the dense per-pid slices.
 const maxInt = int(^uint(0) >> 1)
 
-// Engine is a reusable simulator for one (programs, scheduler, config)
-// cell: the per-trial extension of the step loop's zero-allocation
-// contract. NewEngine pays construction once — register image, scheduler
-// views, per-process RNG streams, and the process coroutines themselves —
-// and Reset rewinds all of it in place, so a warmed-up engine runs whole
-// trials without allocating.
+// Engine is a reusable simulator for one (programs, config) cell under an
+// adversary that SetScheduler may replace between trials: the per-trial
+// extension of the step loop's zero-allocation contract. NewEngine pays
+// construction once — register image, scheduler views, per-process RNG
+// streams, and the process coroutines themselves — and Reset rewinds all of
+// it in place, so a warmed-up engine runs whole trials without allocating.
 //
 // Usage is strictly Reset-then-Run, once per trial:
 //
@@ -173,7 +173,6 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 	cfg.File.SetSemantics(cfg.Registers)
 	eng := &Engine{
 		cfg:         cfg,
-		power:       cfg.Scheduler.MinPower(),
 		maxSteps:    maxSteps,
 		procs:       make([]proc, cfg.N),
 		programs:    programs,
@@ -188,13 +187,13 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 		stalledBuf:  make([]bool, cfg.N),
 		meter:       cfg.Meter,
 		runnable:    make([]int, 0, cfg.N),
-		seesMemory:  viewsMemory(cfg.Scheduler.MinPower()),
 		sem:         cfg.Registers,
 	}
 	if cfg.Registers == register.Regular {
 		eng.invVal = make([]value.Value, cfg.N)
 	}
-	eng.view = sched.View{Power: eng.power, Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N), Changed: -1, ChangedFrom: value.None}
+	eng.view = sched.View{Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N), Changed: -1, ChangedFrom: value.None}
+	_ = eng.SetScheduler(cfg.Scheduler) // non-nil, and a new engine is unarmed
 	eng.result.Trace = cfg.Trace
 	// CrashAfter is consulted on every step; flatten the map into a dense
 	// per-pid limit (maxInt = never) so the hot path does one compare
@@ -304,11 +303,14 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 		}
 		p.parked = true
 	}
-	// Restore the shared registers to their post-construction image.
+	// Restore the shared registers to their post-construction image, and
+	// re-stamp the register model: a file shared with other engines or
+	// rewound by a pool between trials may carry another model's label.
 	if err := eng.cfg.File.Restore(eng.image); err != nil {
 		eng.poisoned = true
 		return fmt.Errorf("sim: %v: %w", err, exec.ErrSessionPoisoned)
 	}
+	eng.cfg.File.SetSemantics(eng.sem)
 	// Install and rewind the fault plane. Thresholds are seed-independent;
 	// only the delay/lost-coin streams depend on the seed.
 	eng.inj = faults
@@ -380,6 +382,26 @@ func (eng *Engine) Reset(seed uint64, faults *fault.Injector) error {
 	eng.view.Changed, eng.view.ChangedFrom = -1, value.None
 	eng.runnable = eng.runnable[:0]
 	eng.armed = true
+	return nil
+}
+
+// SetScheduler rebinds the engine to adversary s for the trials that
+// follow, so one engine (and its parked coroutines) can serve a different
+// scheduler on every trial. Everything the engine derives from the
+// adversary is re-derived from s: the power class that restricts pending
+// operations, whether views carry memory, and View.Power. Call it between
+// trials, before the Reset that arms the next one (Reset seeds s).
+func (eng *Engine) SetScheduler(s sched.Scheduler) error {
+	if s == nil {
+		return errors.New("sim: nil scheduler")
+	}
+	if eng.armed {
+		return errors.New("sim: SetScheduler on an armed engine (rebind before Reset)")
+	}
+	eng.cfg.Scheduler = s
+	eng.power = s.MinPower()
+	eng.seesMemory = viewsMemory(eng.power)
+	eng.view.Power = eng.power
 	return nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"github.com/modular-consensus/modcon/internal/exec"
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/sched"
+	"github.com/modular-consensus/modcon/internal/trace"
 	"github.com/modular-consensus/modcon/internal/value"
 )
 
@@ -76,6 +77,54 @@ func TestSessionReuseMatchesFreshRuns(t *testing.T) {
 			!reflect.DeepEqual(got.Work, want.Work) ||
 			got.TotalWork != want.TotalWork || got.Steps != want.Steps {
 			t.Errorf("seed %d: reused session diverged from fresh run:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// TestEngineSetSchedulerMatchesFresh pins adversary rebinding: an engine
+// built for one scheduler and rebound to another between trials runs each
+// trial exactly as a fresh engine built for the new scheduler, across every
+// pair of power classes (the rebind re-derives the view restriction and
+// whether views carry memory). Rebinding an armed engine is refused.
+func TestEngineSetSchedulerMatchesFresh(t *testing.T) {
+	const n = 4
+	advs := []func() sched.Scheduler{
+		func() sched.Scheduler { return sched.NewUniformRandom() },
+		func() sched.Scheduler { return sched.NewSplitVote() },
+		func() sched.Scheduler { return sched.NewFirstMoverAttack() },
+		func() sched.Scheduler { return sched.NewAdaptiveSpoiler() },
+	}
+	cfg, prog := sessionWorkload(n)
+	eng, err := NewEngine(Config{N: n, File: cfg.File, Scheduler: advs[0](), Trace: trace.New(), MaxSteps: cfg.MaxSteps},
+		func(e *Env) value.Value { return prog(e) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for k := range 3 * len(advs) {
+		adv, seed := advs[(k*3+1)%len(advs)], uint64(k)
+		if err := eng.SetScheduler(adv()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Reset(seed, nil); err != nil {
+			t.Fatal(err)
+		}
+		if eng.SetScheduler(adv()) == nil {
+			t.Fatal("SetScheduler on an armed engine succeeded")
+		}
+		got, err := eng.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshCfg, freshProg := sessionWorkload(n)
+		want, err := Run(Config{N: n, File: freshCfg.File, Scheduler: adv(), Seed: seed, Trace: trace.New(), MaxSteps: freshCfg.MaxSteps},
+			func(e *Env) value.Value { return freshProg(e) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Outputs, want.Outputs) || !reflect.DeepEqual(got.Work, want.Work) ||
+			!reflect.DeepEqual(got.Trace.Events(), want.Trace.Events()) {
+			t.Fatalf("call %d (%s): rebound engine diverged from a fresh one", k, adv().Name())
 		}
 	}
 }
