@@ -58,10 +58,8 @@ type coreReport struct {
 	Manifest obs.Manifest `json:"manifest"`
 	Budget   string       `json:"budgetPerCell"`
 	Results  []coreCell   `json:"results"`
-	// Trial (present when -bench-core ran) holds per-trial throughput cells:
-	// the same workload replayed through pooled coroutine sessions and
-	// through the op-coded lane engine, with the lane cells' speedup over
-	// session mode.
+	// Trial (present when -bench-core ran) holds per-trial throughput cells
+	// of one workload replayed through pooled coroutine sessions.
 	Trial   *trialReport   `json:"trial,omitempty"`
 	Scaling *scalingReport `json:"scaling,omitempty"`
 }

@@ -1,12 +1,8 @@
 package main
 
-// Per-trial throughput cells for -bench-core: the same write/probwrite/read
-// trial workload measured two ways — replayed through a pooled coroutine
-// session (one exec.Session.Run per trial) and through the op-coded lane
-// engine (whole lanes per exec.BatchSession.RunBatch call). The lane cells'
-// Speedup column is the artifact form of the repo's lane-vs-session claim;
-// the differential tests in internal/sim and internal/harness pin that both
-// modes compute bit-identical results, so the cells differ only in cost.
+// Per-trial throughput cells for -bench-core: a write/probwrite/read trial
+// workload replayed through a pooled coroutine session, one
+// exec.Session.Run per trial.
 
 import (
 	"context"
@@ -30,24 +26,19 @@ const trialOps = 64
 
 // trialCell is one row of the "trial" section of BENCH_sim.json.
 type trialCell struct {
-	// Mode is "session" (pooled coroutine session, one Run per trial) or
-	// "lane" (op-coded lane engine, whole lanes per RunBatch call).
+	// Mode is "session" (pooled coroutine session, one Run per trial).
 	Mode           string  `json:"mode"`
 	N              int     `json:"n"`
 	Trials         int     `json:"trials"`
 	NsPerTrial     float64 `json:"nsPerTrial"`
 	TrialsPerSec   float64 `json:"trialsPerSec"`
 	AllocsPerTrial int64   `json:"allocsPerTrial"`
-	// Speedup is this cell's throughput over the session cell at the same n
-	// (1 for session cells themselves).
-	Speedup float64 `json:"speedup"`
 }
 
 // trialReport is the "trial" section of BENCH_sim.json.
 type trialReport struct {
 	Workload    string      `json:"workload"`
 	OpsPerTrial int         `json:"opsPerTrial"`
-	LaneWidth   int         `json:"laneWidth"`
 	Results     []trialCell `json:"results"`
 }
 
@@ -69,70 +60,12 @@ func trialProgram(a register.Array) exec.Program {
 	}
 }
 
-// trialProc is the op-coded twin of trialProgram, one state per scheduled
-// operation. Differential coverage for this pairing pattern lives in
-// internal/sim's lane tests; this copy exists only to be timed.
-type trialProc struct {
-	r       register.Reg
-	pc, i   int
-	acc     value.Value
-	halting bool
-}
-
-func (p *trialProc) Reset() { p.pc, p.i, p.acc, p.halting = 0, 0, 0, false }
-
-func (p *trialProc) Step(e *sim.LaneEnv) bool {
-	switch p.pc {
-	case 0: // issue Write(i)
-		if p.halting {
-			e.Out = p.acc
-			return false
-		}
-		e.Op = sim.LaneOp{Kind: sched.OpWrite, Reg: p.r, Val: value.Value(p.i)}
-		p.pc = 1
-	case 1: // issue ProbWrite(i+100, 1, 2)
-		e.Op = sim.LaneOp{Kind: sched.OpProbWrite, Reg: p.r, Val: value.Value(p.i + 100), Num: 1, Den: 2}
-		p.pc = 2
-	case 2: // consume ProbWrite's ok; issue Read
-		if e.ROK {
-			p.acc++
-		}
-		e.Op = sim.LaneOp{Kind: sched.OpRead, Reg: p.r}
-		p.pc = 3
-	case 3: // consume Read's value; next iteration's Write or halt
-		p.acc += e.RVal % 3
-		p.i++
-		if p.i == trialOps {
-			p.halting = true
-		}
-		p.pc = 0
-		return p.Step(e)
-	}
-	return true
-}
-
-// trialSessions builds the two sessions under measurement over identical
-// cells: same register file image, same scheduler construction, same config.
-func trialSessions(n int) (session exec.Session, lane exec.BatchSession, err error) {
-	mkCfg := func() (exec.Config, register.Array) {
-		f := register.NewFile()
-		a := f.Alloc(n, "bench-trial")
-		return exec.Config{N: n, File: f, Scheduler: sched.NewUniformRandom(), MaxSteps: 1 << 20}, a
-	}
-	cfg, a := mkCfg()
-	session, err = sim.Backend().NewSession(cfg, trialProgram(a))
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg, a = mkCfg()
-	lane, err = sim.NewLaneSession(cfg, func(pid, n int) sim.LaneProc {
-		return &trialProc{r: a.At(pid % a.Len)}
-	})
-	if err != nil {
-		session.Close()
-		return nil, nil, err
-	}
-	return session, lane, nil
+// trialSession builds the pooled session under measurement.
+func trialSession(n int) (exec.Session, error) {
+	f := register.NewFile()
+	a := f.Alloc(n, "bench-trial")
+	cfg := exec.Config{N: n, File: f, Scheduler: sched.NewUniformRandom(), MaxSteps: 1 << 20}
+	return sim.Backend().NewSession(cfg, trialProgram(a))
 }
 
 // measureTrials times `trials` executions through run (which covers seeds
@@ -170,24 +103,21 @@ func measureTrials(mode string, n int, budget time.Duration,
 	}
 }
 
-// runBenchTrials measures the session and lane cells for each n and returns
-// the report. Both modes replay the identical deterministic seed sequence;
-// the lane mode batches it laneWidth seeds per RunBatch call.
+// runBenchTrials measures the session cell for each n and returns the
+// report. Every cell replays the same deterministic seed sequence.
 func runBenchTrials(ns []int, budget time.Duration) (*trialReport, error) {
-	const laneWidth = 64
 	report := &trialReport{
 		Workload:    "write-probwrite-read",
 		OpsPerTrial: 3 * trialOps,
-		LaneWidth:   laneWidth,
 		Results:     []trialCell{},
 	}
 	ctx := context.Background()
 	for _, n := range ns {
-		session, lane, err := trialSessions(n)
+		session, err := trialSession(n)
 		if err != nil {
 			return nil, err
 		}
-		sessionCell, err := measureTrials("session", n, budget, func(trials int) error {
+		cell, err := measureTrials("session", n, budget, func(trials int) error {
 			for t := 1; t <= trials; t++ {
 				if _, err := session.Run(ctx, uint64(t)); err != nil {
 					return err
@@ -195,44 +125,13 @@ func runBenchTrials(ns []int, budget time.Duration) (*trialReport, error) {
 			}
 			return nil
 		})
-		if err != nil {
-			session.Close()
-			lane.Close()
-			return nil, err
-		}
-		seeds := make([]uint64, laneWidth)
-		laneCell, err := measureTrials("lane", n, budget, func(trials int) error {
-			for done := 0; done < trials; done += len(seeds) {
-				seeds = seeds[:min(laneWidth, trials-done)]
-				for j := range seeds {
-					seeds[j] = uint64(done+j) + 1
-				}
-				var trialErr error
-				err := lane.RunBatch(ctx, seeds, nil, func(k int, res *exec.Result, err error) bool {
-					trialErr = err
-					return err == nil
-				})
-				if err == nil {
-					err = trialErr
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
 		session.Close()
-		lane.Close()
 		if err != nil {
 			return nil, err
 		}
-		sessionCell.Speedup = 1
-		laneCell.Speedup = laneCell.TrialsPerSec / sessionCell.TrialsPerSec
-		for _, cell := range []trialCell{sessionCell, laneCell} {
-			fmt.Fprintf(os.Stderr, "bench-trial: %-8s n=%-4d %10.1f ns/trial %10.0f trials/sec %d allocs/trial  %.2fx\n",
-				cell.Mode, cell.N, cell.NsPerTrial, cell.TrialsPerSec, cell.AllocsPerTrial, cell.Speedup)
-			report.Results = append(report.Results, cell)
-		}
+		fmt.Fprintf(os.Stderr, "bench-trial: %-8s n=%-4d %10.1f ns/trial %10.0f trials/sec %d allocs/trial\n",
+			cell.Mode, cell.N, cell.NsPerTrial, cell.TrialsPerSec, cell.AllocsPerTrial)
+		report.Results = append(report.Results, cell)
 	}
 	return report, nil
 }

@@ -198,30 +198,6 @@ type Session interface {
 	Close() error
 }
 
-// BatchSession is a Session that can run a whole lane of trials in one
-// call, amortizing per-trial dispatch across the batch. The simulator's
-// op-coded lane engine implements it (sim.NewLaneSession).
-//
-// Contract, on top of Session's:
-//
-//   - RunBatch runs one trial per seed, in order, exactly as consecutive
-//     Run(ctx, seeds[k]) calls would — bit-identical results on
-//     deterministic backends, which is what lets the harness route a sweep
-//     through lanes without changing its aggregates.
-//   - begin, if non-nil, is invoked before trial k starts; it is the
-//     caller's hook for staging per-trial state (the harness sets trial
-//     inputs there). A begin error is trial k's error: it arrives through
-//     emit and the batch moves on.
-//   - emit receives each trial's session-owned result, invalidated when the
-//     next trial starts (deep-copy to retain); returning false stops the
-//     batch early with no error.
-//   - RunBatch returns an error only when the session itself can no longer
-//     run trials (closed, poisoned); per-trial errors arrive through emit.
-type BatchSession interface {
-	Session
-	RunBatch(ctx context.Context, seeds []uint64, begin func(k int) error, emit func(k int, res *Result, err error) bool) error
-}
-
 // Backend runs process programs against shared registers under one
 // execution model. Implementations: internal/sim (Backend()) and
 // internal/live (Backend()).

@@ -139,10 +139,8 @@ type scriptScheduler struct {
 }
 
 func (s *scriptScheduler) Next(v *sched.View) int {
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind == sched.OpProbWrite {
-			panic("modelcheck: object used a probabilistic write; exhaustive exploration covers deterministic objects only")
-		}
+	if v.Kinds[sched.OpProbWrite].Count > 0 {
+		panic("modelcheck: object used a probabilistic write; exhaustive exploration covers deterministic objects only")
 	}
 	if s.pos < len(s.script) {
 		pid := s.script[s.pos]

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"github.com/modular-consensus/modcon/internal/register"
@@ -41,13 +42,7 @@ type changedCell struct {
 // once one has. The winning value is that of the lowest-indexed cell that
 // differs from its baseline and is not ⊥.
 func (c *concTracker) observe(v *View) (phase int, cur value.Value) {
-	anyProb := false
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind == OpProbWrite {
-			anyProb = true
-			break
-		}
-	}
+	anyProb := v.Kinds[OpProbWrite].Count > 0
 	if !c.armed {
 		if !anyProb {
 			return phaseNeutral, value.None
@@ -101,6 +96,106 @@ const (
 	phaseEndgame
 )
 
+// attemptLevels counts the attempts the adversary has released per pid and
+// files each pid under its count: level c is the bitset of pids with exactly
+// c attempts. "Fewest attempts, lowest pid" among a set of candidates is
+// then the lowest pid of the first level that meets the candidates, found
+// word by word without touching any pid outside them. A count only grows,
+// by one, for the pid just chosen.
+//
+// The levels live in one buffer, sized on first use to hold as many words
+// as the per-pid counters it replaces, and doubled only if some pid's count
+// outgrows it; reset keeps it.
+type attemptLevels struct {
+	levels []uint64 // level c is levels[c*w : (c+1)*w], w = ⌈n/64⌉
+	n      int32    // process count the levels were built for
+	lo, hi int32    // every level below lo or above hi is empty
+}
+
+// words is the number of words per level.
+func (l *attemptLevels) words() int { return int(l.n+63) >> 6 }
+
+// level returns the bitset of pids with exactly c attempts.
+func (l *attemptLevels) level(c int) []uint64 {
+	w := l.words()
+	return l.levels[c*w : (c+1)*w]
+}
+
+// build sizes the levels for n processes, all at zero attempts.
+func (l *attemptLevels) build(n int) {
+	l.n = int32(n)
+	w := l.words()
+	l.levels = make([]uint64, max(8, n/w)*w)
+	l.fill()
+}
+
+// reset puts every pid back at zero attempts, keeping the buffer. It costs
+// nothing when no attempt was counted since the last reset.
+func (l *attemptLevels) reset() {
+	if l.hi == 0 {
+		return // level 0 still holds every pid (or nothing is built yet)
+	}
+	clear(l.levels[:int(l.hi+1)*l.words()])
+	l.fill()
+}
+
+// fill files every pid under level 0.
+func (l *attemptLevels) fill() {
+	for pid := 0; pid < int(l.n); pid++ {
+		l.levels[pid>>6] |= 1 << (pid & 63)
+	}
+	l.lo, l.hi = 0, 0
+}
+
+// pick returns the fewest-attempts, lowest pid in cand whose pending value
+// differs from avoid (value.None matches everything) and counts one more
+// attempt for it; -1 if no pid in cand qualifies.
+func (l *attemptLevels) pick(v *View, cand *PidSet, avoid value.Value) int {
+	if int(l.n) != v.N {
+		l.build(v.N)
+	}
+	for c := int(l.lo); c <= int(l.hi); c++ {
+		for i, lw := range l.level(c) {
+			for m := lw & cand.Words[i]; m != 0; m &= m - 1 {
+				pid := i<<6 + bits.TrailingZeros64(m)
+				if avoid.IsNone() || v.Pending[pid].Val != avoid {
+					l.bump(pid, c)
+					return pid
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// bump moves pid from level c to level c+1.
+func (l *attemptLevels) bump(pid, c int) {
+	word, bit := pid>>6, uint64(1)<<(pid&63)
+	l.level(c)[word] &^= bit
+	if c == int(l.hi) {
+		l.hi++
+		if w := l.words(); int(l.hi+1)*w > len(l.levels) {
+			grown := make([]uint64, 2*len(l.levels))
+			copy(grown, l.levels)
+			l.levels = grown
+		}
+	}
+	l.level(c + 1)[word] |= bit
+	for l.lo < l.hi && l.levelEmpty(int(l.lo)) {
+		l.lo++
+	}
+}
+
+// levelEmpty reports whether no pid has exactly c attempts.
+func (l *attemptLevels) levelEmpty(c int) bool {
+	for _, w := range l.level(c) {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // firstMoverEndgame is the disagreement-forcing endgame shared by the
 // attack strategies, played once a conciliator write has landed. The
 // adversary (location-oblivious: it sees memory contents and pending write
@@ -120,23 +215,21 @@ const (
 type firstMoverEndgame struct {
 	locked    bool
 	lockedVal value.Value
-	attempts  []int
+	attempts  attemptLevels
 }
 
-// reset clears the endgame for a fresh execution, keeping the attempts
-// array.
+// reset clears the endgame for a fresh execution or conciliator round,
+// keeping the attempt levels' buffer.
 func (g *firstMoverEndgame) reset() {
 	g.locked = false
 	g.lockedVal = value.None
-	for i := range g.attempts {
-		g.attempts[i] = 0
-	}
+	g.attempts.reset()
 }
 
 // play chooses the next pid given the current conciliator-register value.
 func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 	if !g.locked {
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.Kinds[OpRead].First(); pid >= 0 {
 			g.locked = true
 			g.lockedVal = cur
 			return pid
@@ -149,7 +242,7 @@ func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 	}
 	if cur != g.lockedVal {
 		// Disagreement is on the table: bank it with readers first.
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.Kinds[OpRead].First(); pid >= 0 {
 			return pid
 		}
 		if pid := g.fireWrite(v, value.None); pid >= 0 {
@@ -161,7 +254,7 @@ func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 	if pid := g.fireWrite(v, cur); pid >= 0 {
 		return pid
 	}
-	if pid := pendingOfKind(v, OpRead); pid >= 0 {
+	if pid := v.Kinds[OpRead].First(); pid >= 0 {
 		return pid
 	}
 	return v.Runnable[0]
@@ -170,26 +263,10 @@ func (g *firstMoverEndgame) play(v *View, cur value.Value) int {
 // fireWrite schedules the fewest-attempts pending probabilistic write whose
 // value differs from avoid (value.None matches everything); -1 if none.
 func (g *firstMoverEndgame) fireWrite(v *View, avoid value.Value) int {
-	if g.attempts == nil {
-		g.attempts = make([]int, v.N)
+	if v.Kinds[OpProbWrite].Count == 0 {
+		return -1
 	}
-	best := -1
-	for _, pid := range v.Runnable {
-		op := v.Pending[pid]
-		if op.Kind != OpProbWrite {
-			continue
-		}
-		if !avoid.IsNone() && op.Val == avoid {
-			continue
-		}
-		if best == -1 || g.attempts[pid] < g.attempts[best] {
-			best = pid
-		}
-	}
-	if best >= 0 {
-		g.attempts[best]++
-	}
-	return best
+	return g.attempts.pick(v, &v.Kinds[OpProbWrite], avoid)
 }
 
 // firstWrittenValue returns the value of the lowest-indexed non-⊥ register.
@@ -202,17 +279,6 @@ func firstWrittenValue(memory []value.Value) (value.Value, bool) {
 		}
 	}
 	return value.None, false
-}
-
-// pendingOfKind returns the first runnable pid whose pending op has the
-// given kind, or -1.
-func pendingOfKind(v *View, kind OpKind) int {
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind == kind {
-			return pid
-		}
-	}
-	return -1
 }
 
 // FirstMoverAttack is a location-oblivious strategy tuned against
@@ -235,7 +301,7 @@ func pendingOfKind(v *View, kind OpKind) int {
 type FirstMoverAttack struct {
 	tracker  concTracker
 	endgame  firstMoverEndgame
-	attempts []int
+	attempts attemptLevels
 	next     int
 }
 
@@ -252,40 +318,29 @@ func (s *FirstMoverAttack) Next(v *View) int {
 		// Outside conciliator rounds (e.g. inside ratifiers): neutral
 		// round-robin, and reset the endgame for the next round.
 		s.endgame.reset()
-		return s.roundRobin(v)
+		return roundRobinFrom(v, &s.next)
 	}
 	// Pool building: advance processes that are *not* yet poised to write,
 	// so the pending-write pool grows.
-	for _, pid := range v.Runnable {
-		if v.Pending[pid].Kind != OpProbWrite {
-			return pid
-		}
+	if pid := v.firstNotOfKind(OpProbWrite); pid >= 0 {
+		return pid
 	}
 	// All runnable processes have a pending probabilistic write: release
 	// the cheapest attempt.
-	if s.attempts == nil {
-		s.attempts = make([]int, v.N)
-	}
-	best := -1
-	for _, pid := range v.Runnable {
-		if best == -1 || s.attempts[pid] < s.attempts[best] {
-			best = pid
-		}
-	}
-	s.attempts[best]++
-	return best
+	return s.attempts.pick(v, &v.Kinds[OpProbWrite], value.None)
 }
 
-// roundRobin cycles through runnable processes.
-func (s *FirstMoverAttack) roundRobin(v *View) int {
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
+// roundRobinFrom returns the first runnable pid at or after *next in cyclic
+// order and advances *next past it.
+func roundRobinFrom(v *View, next *int) int {
+	pid := v.nextRunnable(*next)
+	if pid < 0 {
+		return v.Runnable[0]
 	}
-	return v.Runnable[0]
+	if *next = pid + 1; *next == v.N {
+		*next = 0
+	}
+	return pid
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -293,9 +348,7 @@ func (s *FirstMoverAttack) roundRobin(v *View) int {
 func (s *FirstMoverAttack) Seed(*xrand.Source) {
 	s.tracker.reset()
 	s.endgame.reset()
-	for i := range s.attempts {
-		s.attempts[i] = 0
-	}
+	s.attempts.reset()
 	s.next = 0
 }
 
@@ -330,14 +383,7 @@ func (s *EagerWriteAttack) Next(v *View) int {
 	// Opening and pool phase: plain round-robin — writes fire as soon as
 	// their turn comes, keeping every process one step from a fresh attempt
 	// when the first success lands.
-	for i := 0; i < v.N; i++ {
-		pid := (s.next + i) % v.N
-		if v.Pending[pid].Valid {
-			s.next = (pid + 1) % v.N
-			return pid
-		}
-	}
-	return v.Runnable[0]
+	return roundRobinFrom(v, &s.next)
 }
 
 // Seed implements Scheduler (deterministic strategy; resets the attack
@@ -481,7 +527,7 @@ func (s *AdaptiveSpoiler) Next(v *View) int {
 	if !written {
 		// Arm the attack: advance readers so writes queue up, then let the
 		// first write land.
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.Kinds[OpRead].First(); pid >= 0 {
 			return pid
 		}
 		for _, pid := range v.Runnable {
@@ -505,13 +551,13 @@ func (s *AdaptiveSpoiler) Next(v *View) int {
 			s.wantWrite = false
 			return conflicting
 		}
-		if pid := pendingOfKind(v, OpRead); pid >= 0 {
+		if pid := v.Kinds[OpRead].First(); pid >= 0 {
 			return pid
 		}
 		return v.Runnable[0]
 	}
 	// Commit a victim to the current value before spoiling it.
-	if pid := pendingOfKind(v, OpRead); pid >= 0 {
+	if pid := v.Kinds[OpRead].First(); pid >= 0 {
 		s.wantWrite = true
 		return pid
 	}

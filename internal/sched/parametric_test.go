@@ -242,25 +242,25 @@ func TestParametricRulesFirstMoverShape(t *testing.T) {
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
 	v.Pending[1] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	v.Pending[2] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
-	if pid := p.Next(v); pid != 1 {
+	if pid := nextOn(p, v); pid != 1 {
 		t.Fatalf("pool phase chose %d, want reader 1", pid)
 	}
 	// Full pool: release the fewest-attempts probwrite.
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4}
 	v.Pending[2] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4}
-	if pid := p.Next(v); v.Pending[pid].Kind != OpProbWrite {
+	if pid := nextOn(p, v); v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("full pool chose %d, want a probwrite", pid)
 	}
 	// Memory written: witness reader first.
 	v.Memory[0] = 5
 	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
-	if pid := p.Next(v); pid != 0 {
+	if pid := nextOn(p, v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// No reader left: fire a conflicting write (value != 5), never the
 	// 5-valued attempt.
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
-	if pid := p.Next(v); pid == 0 || v.Pending[pid].Val == 5 {
+	if pid := nextOn(p, v); pid == 0 || v.Pending[pid].Val == 5 {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
 	}
 }
@@ -278,7 +278,7 @@ func TestParametricSeedResetsState(t *testing.T) {
 		p.Seed(xrand.New(9))
 		out := make([]int, 0, 4)
 		for i := 0; i < 4; i++ {
-			out = append(out, p.Next(v))
+			out = append(out, nextOn(p, v))
 		}
 		return out
 	}

@@ -27,6 +27,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/modular-consensus/modcon/internal/register"
 	"github.com/modular-consensus/modcon/internal/value"
@@ -126,14 +127,16 @@ type Op struct {
 // View is what the adversary sees when choosing the next step.
 //
 // Buffer-reuse contract (copy-on-escape): the View pointer and its Runnable,
-// Pending, and Memory slices are owned by the runtime and reused on every
-// step — the step path is allocation-free by design. Memory is not even a
-// copy: it is the live register file itself, aliased, so it already shows
-// the effect of every executed step. A Scheduler may read all of them freely
-// during Next, but must not mutate them (a write to Memory would corrupt the
-// execution) and must not retain any of them past Next's return; a strategy
-// that wants history must copy what it needs into its own state, or, as
-// concTracker does, keep only what Changed/ChangedFrom report step by step.
+// Pending, Memory, and Kinds slices are owned by the runtime and reused on
+// every step — the step path is allocation-free by design. Memory is not
+// even a copy: it is the live register file itself, aliased, so it already
+// shows the effect of every executed step. A Scheduler may read all of them
+// freely during Next, but must not mutate them (a write to Memory would
+// corrupt the execution; an Add or Remove on a Kinds set would desynchronize
+// it from Pending) and must not retain any of them past Next's return; a
+// strategy that wants history must copy what it needs into its own state,
+// or, as concTracker does, keep only what Changed/ChangedFrom report step by
+// step.
 type View struct {
 	// Power is the information class this view was built for.
 	Power Power
@@ -166,6 +169,109 @@ type View struct {
 	// per step instead of O(file).
 	Changed     register.Reg
 	ChangedFrom value.Value
+	// Kinds files every runnable pid under the Kind of its Pending entry:
+	// Kinds[k] is the set of runnable pids whose pending op has Kind k, so
+	// the sets partition Runnable. The key is the power-restricted Kind, so
+	// below ValueOblivious every runnable pid sits in Kinds[0] and the sets
+	// say nothing Runnable does not. The runtime patches the one pid that
+	// moved on each step, so "is any probabilistic write pending?" or "the
+	// lowest pid poised to read" cost O(1) or O(N/64) instead of a scan of
+	// Pending. Views built by hand fill Runnable and Pending and then call
+	// IndexKinds.
+	Kinds [OpCollect + 1]PidSet
+}
+
+// PidSet is a set of pids: a bitset of ⌈N/64⌉ words and its size.
+type PidSet struct {
+	// Words holds pid p as bit p%64 of Words[p/64].
+	Words []uint64
+	// Count is the number of pids in the set.
+	Count int
+}
+
+// First returns the lowest pid in the set, or -1 when it is empty.
+func (s *PidSet) First() int {
+	for i, w := range s.Words {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// Add inserts pid, which must not be in the set. It is the runtime's upkeep:
+// schedulers must not call it on a View's sets.
+func (s *PidSet) Add(pid int) {
+	s.Words[pid>>6] |= 1 << (pid & 63)
+	s.Count++
+}
+
+// Remove deletes pid, which must be in the set. It is the runtime's upkeep:
+// schedulers must not call it on a View's sets.
+func (s *PidSet) Remove(pid int) {
+	s.Words[pid>>6] &^= 1 << (pid & 63)
+	s.Count--
+}
+
+// IndexKinds rebuilds Kinds from Runnable and Pending, allocating the sets'
+// words the first time (one allocation for all of them). The runtime calls
+// it once per execution and patches the sets step by step after that.
+func (v *View) IndexKinds() {
+	w := (v.N + 63) >> 6
+	if len(v.Kinds[0].Words) != w {
+		buf := make([]uint64, len(v.Kinds)*w)
+		for k := range v.Kinds {
+			v.Kinds[k].Words = buf[k*w : (k+1)*w : (k+1)*w]
+		}
+	}
+	for k := range v.Kinds {
+		clear(v.Kinds[k].Words)
+		v.Kinds[k].Count = 0
+	}
+	for _, pid := range v.Runnable {
+		v.Kinds[v.Pending[pid].Kind].Add(pid)
+	}
+}
+
+// runnableWord returns word i of the runnable set: the union of the Kinds.
+func (v *View) runnableWord(i int) uint64 {
+	var w uint64
+	for k := range v.Kinds {
+		w |= v.Kinds[k].Words[i]
+	}
+	return w
+}
+
+// firstNotOfKind returns the lowest runnable pid whose pending op is not of
+// kind k, or -1.
+func (v *View) firstNotOfKind(k OpKind) int {
+	if v.Kinds[k].Count == len(v.Runnable) {
+		return -1
+	}
+	for i, kw := range v.Kinds[k].Words {
+		if w := v.runnableWord(i) &^ kw; w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// nextRunnable returns the first runnable pid at or after from in cyclic
+// pid order, or -1 when nothing is runnable.
+func (v *View) nextRunnable(from int) int {
+	words := len(v.Kinds[0].Words)
+	i := from >> 6
+	w := v.runnableWord(i) &^ (1<<(from&63) - 1)
+	for range words + 1 {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+		if i++; i == words {
+			i = 0
+		}
+		w = v.runnableWord(i)
+	}
+	return -1
 }
 
 // PendingOf returns the (restricted) pending op of pid.

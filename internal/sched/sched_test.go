@@ -15,7 +15,17 @@ func mkView(n int, runnable ...int) *View {
 		v.Pending[pid] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	}
 	v.Runnable = append([]int(nil), runnable...)
+	v.IndexKinds()
 	return v
+}
+
+// nextOn files v's runnable pids by kind, as the runtime keeps them, and asks
+// s for its choice. Every hand-built view reaches a scheduler through it
+// (or through drive), so a test that edits Pending between steps never
+// hands a scheduler stale kind sets.
+func nextOn(s Scheduler, v *View) int {
+	v.IndexKinds()
+	return s.Next(v)
 }
 
 func drive(t *testing.T, s Scheduler, v *View, steps int) []int {
@@ -23,7 +33,7 @@ func drive(t *testing.T, s Scheduler, v *View, steps int) []int {
 	s.Seed(xrand.New(7))
 	out := make([]int, 0, steps)
 	for i := 0; i < steps; i++ {
-		pid := s.Next(v)
+		pid := nextOn(s, v)
 		found := false
 		for _, r := range v.Runnable {
 			if r == pid {
@@ -79,7 +89,7 @@ func TestFixedOrderCopiesInput(t *testing.T) {
 	s := NewFixedOrder(perm)
 	perm[0] = 99 // must not affect the scheduler
 	v := mkView(2, 0, 1)
-	if got := s.Next(v); got != 0 {
+	if got := nextOn(s, v); got != 0 {
 		t.Fatalf("Next = %d after caller mutated perm", got)
 	}
 }
@@ -147,13 +157,13 @@ func TestFrontrunnerSticksToOneProcess(t *testing.T) {
 func TestPriorityHighestRunnableWins(t *testing.T) {
 	s := NewPriority(nil)
 	v := mkView(3, 1, 2)
-	if pid := s.Next(v); pid != 1 {
+	if pid := nextOn(s, v); pid != 1 {
 		t.Fatalf("priority chose %d, want 1", pid)
 	}
 	// Custom ranks: pid 2 highest.
 	s2 := NewPriority([]int{2, 1, 0})
 	v2 := mkView(3, 0, 1, 2)
-	if pid := s2.Next(v2); pid != 2 {
+	if pid := nextOn(s2, v2); pid != 2 {
 		t.Fatalf("ranked priority chose %d, want 2", pid)
 	}
 }
@@ -220,20 +230,20 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
 	v.Pending[1] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
 	v.Pending[2] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
-	if pid := s.Next(v); pid != 1 {
+	if pid := nextOn(s, v); pid != 1 {
 		t.Fatalf("phase 1 chose %d, want reader 1", pid)
 	}
 	// All poised to probwrite: fire the fewest-attempts process.
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 6, ProbNum: 1, ProbDen: 4}
 	v.Pending[2] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 7, ProbNum: 1, ProbDen: 4}
-	first := s.Next(v)
+	first := nextOn(s, v)
 	if first < 0 || first > 2 {
 		t.Fatalf("phase 1 release chose %d", first)
 	}
 	// Memory written: must first lock a witness reader on the current value.
 	v.Memory[0], v.Changed, v.ChangedFrom = 5, 0, value.None
 	v.Pending[0] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
-	if pid := s.Next(v); pid != 0 {
+	if pid := nextOn(s, v); pid != 0 {
 		t.Fatalf("endgame chose %d, want witness reader 0", pid)
 	}
 	// Witness locked on value 5 (the read changed no cell): must now fire a
@@ -241,14 +251,14 @@ func TestFirstMoverAttackPhases(t *testing.T) {
 	// the 5-valued one.
 	v.Changed, v.ChangedFrom = -1, value.None
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 4}
-	if pid := s.Next(v); pid == 0 || v.Pending[pid].Kind != OpProbWrite {
+	if pid := nextOn(s, v); pid == 0 || v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("endgame chose %d, want a conflicting probwrite", pid)
 	}
 	// Memory flipped to a conflicting value: readers first to bank the
 	// disagreement.
 	v.Memory[0], v.Changed, v.ChangedFrom = 7, 0, 5
 	v.Pending[1] = Op{Valid: true, Kind: OpRead, Reg: -1, Val: value.None}
-	if pid := s.Next(v); pid != 1 {
+	if pid := nextOn(s, v); pid != 1 {
 		t.Fatalf("post-flip chose %d, want reader 1", pid)
 	}
 }
@@ -261,7 +271,7 @@ func TestEndgameWithoutReaders(t *testing.T) {
 		Pending: make([]Op, n), Memory: []value.Value{3}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 4, ProbNum: 1, ProbDen: 2}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Reg: -1, Val: 5, ProbNum: 1, ProbDen: 2}
-	if pid := s.Next(v); v.Pending[pid].Kind != OpProbWrite {
+	if pid := nextOn(s, v); v.Pending[pid].Kind != OpProbWrite {
 		t.Fatalf("chose %d, want a probwrite", pid)
 	}
 }
@@ -273,10 +283,10 @@ func TestEagerWriteAttackOpeningIsRoundRobin(t *testing.T) {
 		Pending: make([]Op, n), Memory: []value.Value{value.None}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Val: 3}
-	if pid := s.Next(v); pid != 0 {
+	if pid := nextOn(s, v); pid != 0 {
 		t.Fatalf("first pick %d, want 0", pid)
 	}
-	if pid := s.Next(v); pid != 1 {
+	if pid := nextOn(s, v); pid != 1 {
 		t.Fatalf("second pick %d, want 1", pid)
 	}
 }
@@ -290,12 +300,12 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 		Pending: make([]Op, n), Memory: []value.Value{9}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpRead}
 	v.Pending[1] = Op{Valid: true, Kind: OpProbWrite, Val: 3}
-	if pid := s.Next(v); pid != 0 {
+	if pid := nextOn(s, v); pid != 0 {
 		t.Fatalf("witness pick %d, want reader 0", pid)
 	}
 	v.Pending[0] = Op{}
 	v.Runnable = []int{1}
-	if pid := s.Next(v); pid != 1 {
+	if pid := nextOn(s, v); pid != 1 {
 		t.Fatalf("conflict pick %d, want writer 1", pid)
 	}
 }
@@ -303,11 +313,11 @@ func TestEagerWriteAttackEndgame(t *testing.T) {
 func TestSplitVotePrefersEvens(t *testing.T) {
 	s := NewSplitVote()
 	v := mkView(4, 0, 1, 2, 3)
-	if pid := s.Next(v); pid != 0 {
+	if pid := nextOn(s, v); pid != 0 {
 		t.Fatalf("chose %d, want 0", pid)
 	}
 	v2 := mkView(4, 1, 3)
-	if pid := s.Next(v2); pid != 1 {
+	if pid := nextOn(s, v2); pid != 1 {
 		t.Fatalf("chose %d among odds, want 1", pid)
 	}
 }
@@ -321,13 +331,13 @@ func TestAdaptiveSpoilerAlternatesVictimAndConflict(t *testing.T) {
 	v.Pending[1] = Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 7} // same value: no conflict
 	v.Pending[2] = Op{Valid: true, Kind: OpWrite, Reg: 0, Val: 9} // conflict
 	// First commit a victim reader to the current value...
-	if pid := s.Next(v); pid != 0 {
+	if pid := nextOn(s, v); pid != 0 {
 		t.Fatalf("spoiler chose %d, want victim reader 0", pid)
 	}
 	// ...then fire the conflicting write (never the same-value one).
 	v.Pending[0] = Op{}
 	v.Runnable = []int{1, 2}
-	if pid := s.Next(v); pid != 2 {
+	if pid := nextOn(s, v); pid != 2 {
 		t.Fatalf("spoiler chose %d, want conflicting writer 2", pid)
 	}
 }

@@ -107,6 +107,7 @@ func runTrackerHistory(t *testing.T, seed uint64, cov *trackerCoverage) {
 			}
 		}
 		v.Step = step
+		v.IndexKinds()
 
 		wantPhase, wantCur := oracle.observe(v)
 		gotPhase, gotCur := inc.observe(v)
@@ -188,6 +189,7 @@ func TestConcTrackerResetKeepsBuffer(t *testing.T) {
 	v := &View{Power: LocationOblivious, N: 2, Runnable: []int{0, 1}, Pending: make([]Op, 2),
 		Memory: []value.Value{value.None, value.None}, Changed: -1, ChangedFrom: value.None}
 	v.Pending[0] = Op{Valid: true, Kind: OpProbWrite, Val: 1}
+	v.IndexKinds()
 	var c concTracker
 	c.observe(v)
 	if cap(c.cand) < v.N {

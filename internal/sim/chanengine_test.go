@@ -12,8 +12,9 @@ package sim
 //     cost so the speedup claim in DESIGN.md is regenerated, not asserted.
 //
 // The code is a verbatim copy of the old sim.go/env.go with types renamed
-// chan*; request/response/Config/Result and the trace semantics are shared
-// with the production engine.
+// chan*, plus the view fields added since (Changed, Kinds), which it derives
+// the slow way on every step; request/response/Config/Result and the trace
+// semantics are shared with the production engine.
 
 import (
 	"context"
@@ -326,6 +327,10 @@ func (rt *chanEngine) buildView(view *sched.View, run []int) {
 		}
 		view.Pending[pid] = op
 	}
+	// Rescan Pending for the kind sets on every step, as Changed below is
+	// rediffed from memory: the reference the engine's per-step patching
+	// must agree with.
+	view.IndexKinds()
 	view.Changed, view.ChangedFrom = -1, value.None
 	switch rt.power {
 	case sched.LocationOblivious, sched.Adaptive:

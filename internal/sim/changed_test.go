@@ -3,8 +3,8 @@ package sim
 // Tests of View.Changed/ChangedFrom: the one-cell change report that lets a
 // memory-seeing adversary track history in O(change) per step. The report
 // must say exactly what an adversary would learn by diffing View.Memory
-// against its own copy from the previous Next, on both engines, under every
-// register model, fault plan, and power class.
+// against its own copy from the previous Next, under every register model,
+// fault plan, and power class.
 
 import (
 	"fmt"
@@ -116,50 +116,31 @@ func closureChurnWorkload(n int, s sched.Scheduler) (exec.Config, exec.Program) 
 	return exec.Config{N: n, File: f, Scheduler: s, MaxSteps: 1 << 20}, prog
 }
 
-// churnProc is the op-coded twin of closureChurnWorkload's program.
-type churnProc struct {
-	a      register.Array
-	i, pc  int
-	v, acc value.Value
-}
-
-func (p *churnProc) Reset() { p.i, p.pc, p.v, p.acc = 0, 0, 0, 0 }
-
-func (p *churnProc) Step(e *LaneEnv) bool {
-	mine, other := p.a.At(e.PID()%2), p.a.At((e.PID()+1)%2)
-	switch p.pc {
-	case 1:
-		e.Op = LaneOp{Kind: sched.OpProbWrite, Reg: mine, Val: p.v + 1, Num: 1, Den: 2}
-		p.pc = 2
-		return true
-	case 2:
-		if e.ROK {
-			p.acc++
-		}
-		e.Op = LaneOp{Kind: sched.OpRead, Reg: other}
-		p.pc = 3
-		return true
-	case 3:
-		if e.RVal == p.v {
-			p.acc++
-		}
-		p.i++
-		if p.i >= churnIters {
-			e.Out = p.acc
-			return false
-		}
-	}
-	p.v = value.Value(e.CoinIntn(3))
-	e.Op = LaneOp{Kind: sched.OpWrite, Reg: mine, Val: p.v}
-	p.pc = 1
-	return true
-}
-
-func laneChurnWorkload(n int, s sched.Scheduler) (exec.Config, LaneProgram) {
+// closureCoinWorkload: local coins decide values and whether to probwrite,
+// then the process collects the whole array, cheap (one OpCollect) or
+// per-call (arr.Len individual reads), matching Env.Collect's two cost
+// models.
+func closureCoinWorkload(n int, cheap bool, s sched.Scheduler) (exec.Config, exec.Program) {
 	f := register.NewFile()
-	a := f.Alloc(2, "churn")
-	return exec.Config{N: n, File: f, Scheduler: s, MaxSteps: 1 << 20},
-		func(pid, n int) LaneProc { return &churnProc{a: a} }
+	a := f.Alloc(n, "coin")
+	prog := func(e core.Env) value.Value {
+		mine := a.At(e.PID())
+		acc := value.Value(0)
+		for i := 0; i < 8; i++ {
+			v := value.Value(e.CoinIntn(10))
+			e.Write(mine, v)
+			if e.CoinBool() {
+				if e.ProbWrite(mine, v+1, 2, 3) {
+					acc += 2
+				}
+			}
+			for _, x := range e.Collect(a) {
+				acc += x % 5
+			}
+		}
+		return acc
+	}
+	return exec.Config{N: n, File: f, Scheduler: s, CheapCollect: cheap, MaxSteps: 1 << 20}, prog
 }
 
 func TestChangedMatchesMemoryDiff(t *testing.T) {
@@ -178,14 +159,12 @@ func TestChangedMatchesMemoryDiff(t *testing.T) {
 	type workload struct {
 		name    string
 		closure func(n int, s sched.Scheduler) (exec.Config, exec.Program)
-		lane    func(n int, s sched.Scheduler) (exec.Config, LaneProgram)
 	}
 	workloads := []workload{
-		{"churn", closureChurnWorkload, laneChurnWorkload},
+		{"churn", closureChurnWorkload},
 		{
 			"coins-cheap",
 			func(n int, s sched.Scheduler) (exec.Config, exec.Program) { return closureCoinWorkload(n, true, s) },
-			func(n int, s sched.Scheduler) (exec.Config, LaneProgram) { return laneCoinWorkload(n, true, s) },
 		},
 	}
 	for _, w := range workloads {
@@ -198,28 +177,6 @@ func TestChangedMatchesMemoryDiff(t *testing.T) {
 						cfg, prog := w.closure(n, c)
 						cfg.Registers, cfg.Faults = model, pl.plan
 						sess, err := Backend().NewSession(cfg, prog)
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer sess.Close()
-						crashed := false
-						for _, seed := range seeds {
-							res, err := sess.Run(nil, seed)
-							if err != nil {
-								t.Fatalf("seed %d: %v", seed, err)
-							}
-							crashed = crashed || res.Crashed[0]
-						}
-						checkCoverage(t, c, w.name, model, pl.plan != nil, crashed)
-					})
-					if model != register.Atomic {
-						continue // lanes run atomic registers only
-					}
-					t.Run(name+"/lane", func(t *testing.T) {
-						c := &changeChecker{power: power, inner: sched.NewUniformRandom(), t: t}
-						cfg, prog := w.lane(n, c)
-						cfg.Faults = pl.plan
-						sess, err := NewLaneSession(cfg, prog)
 						if err != nil {
 							t.Fatal(err)
 						}

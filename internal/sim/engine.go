@@ -112,14 +112,15 @@ type Engine struct {
 	ctxDone <-chan struct{}
 
 	// The scheduler view is maintained incrementally: exactly one process
-	// changes state per step, so runnable (ascending pids) and view.Pending
-	// are patched in O(1) amortized instead of rebuilt in O(n). For the
-	// powers that see memory (seesMemory), view.Memory aliases the live
-	// register file and view.Changed/ChangedFrom report the one cell the
-	// last step changed, so those views cost O(1) per step too, whatever
-	// the file's size. The slices are engine-owned and reused every step;
-	// schedulers may read them only for the duration of one Next call (see
-	// the contract on sched.View).
+	// changes state per step, so runnable (ascending pids), view.Pending and
+	// the per-kind runnable sets view.Kinds are patched in O(1) amortized
+	// instead of rebuilt in O(n). For the powers that see memory
+	// (seesMemory), view.Memory aliases the live register file and
+	// view.Changed/ChangedFrom report the one cell the last step changed,
+	// so those views cost O(1) per step too, whatever the file's size. The
+	// slices are engine-owned and reused every step; schedulers may read
+	// them only for the duration of one Next call (see the contract on
+	// sched.View).
 	view       sched.View
 	runnable   []int
 	seesMemory bool
@@ -172,27 +173,28 @@ func NewEngine(cfg Config, programs ...Program) (*Engine, error) {
 	// semantics produced them (a no-op for atomic: names stay byte-identical).
 	cfg.File.SetSemantics(cfg.Registers)
 	eng := &Engine{
-		cfg:         cfg,
-		maxSteps:    maxSteps,
-		procs:       make([]proc, cfg.N),
-		programs:    programs,
-		image:       cfg.File.Contents(),
-		coinSrc:     make([]xrand.Source, cfg.N),
-		probSrc:     make([]xrand.Source, cfg.N),
-		baseCrashAt: make([]int, cfg.N),
-		crashAt:     make([]int, cfg.N),
-		stallAt:     make([]int, cfg.N),
-		stepCrashAt: make([]int, cfg.N),
-		result:      exec.NewResult(cfg.N),
-		stalledBuf:  make([]bool, cfg.N),
-		meter:       cfg.Meter,
-		runnable:    make([]int, 0, cfg.N),
-		sem:         cfg.Registers,
+		cfg:        cfg,
+		maxSteps:   maxSteps,
+		procs:      make([]proc, cfg.N),
+		programs:   programs,
+		image:      cfg.File.Contents(),
+		coinSrc:    make([]xrand.Source, cfg.N),
+		probSrc:    make([]xrand.Source, cfg.N),
+		result:     exec.NewResult(cfg.N),
+		stalledBuf: make([]bool, cfg.N),
+		meter:      cfg.Meter,
+		runnable:   make([]int, 0, cfg.N),
+		sem:        cfg.Registers,
 	}
+	// The four per-pid thresholds share one allocation.
+	thresholds := make([]int, 4*cfg.N)
+	eng.baseCrashAt, eng.crashAt, eng.stallAt, eng.stepCrashAt = thresholds[:cfg.N:cfg.N],
+		thresholds[cfg.N:2*cfg.N:2*cfg.N], thresholds[2*cfg.N:3*cfg.N:3*cfg.N], thresholds[3*cfg.N:]
 	if cfg.Registers == register.Regular {
 		eng.invVal = make([]value.Value, cfg.N)
 	}
 	eng.view = sched.View{Semantics: cfg.Registers, N: cfg.N, Pending: make([]sched.Op, cfg.N), Changed: -1, ChangedFrom: value.None}
+	eng.view.IndexKinds()               // allocates the kind sets once; Run rebuilds them per trial
 	_ = eng.SetScheduler(cfg.Scheduler) // non-nil, and a new engine is unarmed
 	eng.result.Trace = cfg.Trace
 	// CrashAfter is consulted on every step; flatten the map into a dense
@@ -456,6 +458,10 @@ func (eng *Engine) Run(ctx context.Context) (*Result, error) {
 			eng.view.Pending[pid] = eng.restrictOp(p.pending)
 		}
 	}
+	// File the runnable pids by kind under this trial's power (SetScheduler
+	// may have changed it since the last trial); loop patches the sets.
+	eng.view.Runnable = eng.runnable
+	eng.view.IndexKinds()
 	err := eng.loop()
 	eng.result.Steps = eng.steps
 	eng.poisoned = false
@@ -519,11 +525,18 @@ func (rt *Engine) loop() error {
 			panic(fmt.Sprintf("sim: scheduler %q chose non-runnable pid %d", rt.cfg.Scheduler.Name(), pid))
 		}
 		rt.execute(pid)
-		// Patch the view entry of the one process that moved.
+		// Patch the view entry and kind set of the one process that moved.
 		p := &rt.procs[pid]
+		kinds, was := &rt.view.Kinds, rt.view.Pending[pid].Kind
 		if p.hasOp && !p.crashed && !p.halted {
-			rt.view.Pending[pid] = rt.restrictOp(p.pending)
+			op := rt.restrictOp(p.pending)
+			if op.Kind != was {
+				kinds[was].Remove(pid)
+				kinds[op.Kind].Add(pid)
+			}
+			rt.view.Pending[pid] = op
 		} else {
+			kinds[was].Remove(pid)
 			rt.view.Pending[pid] = sched.Op{}
 			rt.dropRunnable(pid)
 		}

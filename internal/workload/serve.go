@@ -10,8 +10,8 @@ package workload
 // bit-identical at any worker or shard count — the same contract the trial
 // engine keeps for aggregates, extended to time. The model is first-order
 // by design (consensus instances are independently served jobs; real
-// cross-instance memory contention is what the lane engine benchmarks
-// measure), and EXPERIMENTS.md documents the caveat next to the curves.
+// cross-instance memory contention is not modelled), and EXPERIMENTS.md
+// documents the caveat next to the curves.
 
 import (
 	"fmt"
